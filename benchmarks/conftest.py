@@ -13,10 +13,9 @@ def pytest_addoption(parser):
     parser.addoption(
         "--commit-results", action="store_true", default=False,
         help="also write the benchmark's JSON to benchmarks/results/ for "
-             "committing (only BENCH_parallel_scaling.json, "
-             "BENCH_kernels.json and BENCH_analysis.json are un-gitignored; "
-             "without this flag benches print tables and leave the tree "
-             "clean)")
+             "committing (only the snapshots on the .gitignore allow-list, "
+             "the ones tools/bench_gate.py replays, are tracked; without "
+             "this flag benches print tables and leave the tree clean)")
 
 
 def banner(exp_id: str, title: str) -> None:

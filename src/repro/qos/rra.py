@@ -18,7 +18,9 @@ with ``r[u,b,p]`` the Shannon rate of user u on block b at power P_p.
 
 Three solution strategies matching the QOS benchmark's comparison:
 exact branch-and-bound, LP-relaxation + rounding repair, and discrete
-PSO over per-block assignment decisions.
+PSO over per-block assignment decisions.  :func:`solve_frame` runs them,
+plus the greedy baseline, as the one per-frame fallback ladder that
+every frame loop (``qos.Scheduler``, ``serve.QoSService``) dispatches.
 """
 
 from __future__ import annotations
@@ -26,19 +28,17 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError, InfeasibleError, NumericalInstabilityError
-from repro.resilience import (
-    Budget,
-    BudgetReport,
-    CircuitBreaker,
-    RetryPolicy,
-    Rung,
-    run_ladder,
+from repro.exceptions import (
+    ConfigurationError,
+    InfeasibleError,
+    LadderExhaustedError,
+    NumericalInstabilityError,
 )
+from repro.resilience import Budget, ChaosMonkey, RetryPolicy, Rung, run_ladder
 from repro.convex.lp import solve_lp
 from repro.convex.problem import LPProblem
 from repro.minlp.heuristics import round_and_repair
@@ -49,9 +49,8 @@ from repro.pso.swarm import PSOConfig
 from repro.qos.channel import shannon_rate
 from repro.qos.traffic import UserSession
 
-__all__ = ["RRAProblem", "RRAResult", "ResilientRRAResult", "solve_rra_exact",
-           "solve_rra_relaxed", "solve_rra_pso", "solve_rra_greedy",
-           "solve_rra_resilient", "RRA_FALLBACK"]
+__all__ = ["RRAProblem", "RRAResult", "solve_rra_exact", "solve_rra_relaxed",
+           "solve_rra_pso", "solve_rra_greedy", "solve_frame", "RRA_FALLBACK"]
 
 #: degradation order for the RRA solve path: exact MILP, LP-rounding,
 #: then the greedy heuristic as the guaranteed conservative rung
@@ -298,23 +297,6 @@ def solve_rra_pso(problem: RRAProblem, swarm_size: int = 16, generations: int = 
     )
 
 
-@dataclass(frozen=True)
-class ResilientRRAResult:
-    """One frame's RRA answer with degradation provenance."""
-
-    result: RRAResult
-    rung: str
-    rung_index: int
-    attempts: int
-    failures: Tuple[Tuple[str, str], ...]
-    budget: Optional[BudgetReport] = None
-    rung_times: Tuple[Tuple[str, float], ...] = ()
-
-    @property
-    def degraded(self) -> bool:
-        return self.rung_index > 0
-
-
 def _validate_rra(value: object) -> None:
     """Reject corrupted allocations: an assignment that busts the power
     budget or carries NaN rates must degrade, never ship.  ``qos_ok`` may
@@ -327,69 +309,6 @@ def _validate_rra(value: object) -> None:
     if not value.power_ok:
         raise NumericalInstabilityError(
             "RRA result violates the transmit power budget")
-
-
-def solve_rra_resilient(
-    problem: RRAProblem,
-    budget: Optional[Budget] = None,
-    breaker: Optional[CircuitBreaker] = None,
-    retry: Optional[RetryPolicy] = None,
-    max_nodes: int = 50000,
-    time_limit: float = 120.0,
-    solvers: Optional[Dict[str, Callable[[RRAProblem], RRAResult]]] = None,
-    rng: Optional[np.random.Generator] = None,
-    sleep: Callable[[float], None] = time.sleep,
-) -> ResilientRRAResult:
-    """RRA through the fallback ladder ``exact-bnb -> lp-round -> greedy``.
-
-    The exact rung's MILP time limit is the smaller of ``time_limit`` and
-    the budget's remaining wall clock; an :class:`InfeasibleError` from
-    the exact rung (QoS floors too high) degrades to rungs that serve
-    best-effort partial allocations instead of crashing the frame.
-    ``solvers`` overrides rung implementations (the chaos-harness hook).
-    """
-    table: Dict[str, Callable[[RRAProblem], RRAResult]] = {
-        "exact-bnb": lambda p: solve_rra_exact(
-            p, max_nodes=max_nodes,
-            time_limit=(min(time_limit, budget.remaining_time)
-                        if budget is not None else time_limit)),
-        "lp-round": solve_rra_relaxed,
-        "greedy": solve_rra_greedy,
-    }
-    if solvers:
-        table.update(solvers)
-    retry = retry or RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0)
-
-    def make_solve(name: str, guaranteed: bool) -> Callable[[], RRAResult]:
-        def solve() -> RRAResult:
-            if budget is not None:
-                if guaranteed:
-                    budget.charge(1)
-                else:
-                    budget.spend(1, context=f"rra[{name}]")
-            return table[name](problem)
-        return solve
-
-    rungs = [
-        Rung(name=name, solve=make_solve(name, i == len(RRA_FALLBACK) - 1),
-             grade=name, retry=retry,
-             guaranteed=(i == len(RRA_FALLBACK) - 1))
-        for i, name in enumerate(RRA_FALLBACK)
-    ]
-    res = run_ladder(rungs, budget=budget, breaker=breaker,
-                     validator=_validate_rra, rng=rng, sleep=sleep,
-                     name="rra")
-    result = res.value
-    assert isinstance(result, RRAResult)
-    return ResilientRRAResult(
-        result=result,
-        rung=res.rung,
-        rung_index=res.rung_index,
-        attempts=res.attempts,
-        failures=res.failures,
-        budget=res.budget,
-        rung_times=res.rung_times,
-    )
 
 
 def solve_rra_greedy(problem: RRAProblem) -> RRAResult:
@@ -453,3 +372,104 @@ def solve_rra_greedy(problem: RRAProblem) -> RRAResult:
         power_ok=ev["power_ok"],
         wall_time=time.perf_counter() - start,
     )
+
+
+def _no_sleep(_s: float) -> None:
+    """Chaos latency stub: a wall-clock sleep would make a frame's cost
+    depend on machine timing (an injected budget burn still applies)."""
+
+
+def solve_frame(task: dict) -> dict:
+    """Solve one RRA frame through its fallback ladder (module-level:
+    process-picklable).
+
+    ``task`` holds the frame's :class:`RRAProblem` and ``frame`` index,
+    plus the whole solve policy as data:
+
+    * ``rungs`` -- rung names, tightest first: a suffix of
+      :data:`RRA_FALLBACK`, or one strategy rung (``pso`` is also
+      available).  The last rung is guaranteed;
+    * ``max_nodes`` -- the exact rung's branch-and-bound node cap;
+    * ``frame_budget_s`` -- optional wall-clock budget.  Without one the
+      exact rung is capped by its node budget only, never by wall clock:
+      a deadline-truncated BnB returns a timing-dependent incumbent;
+    * ``attempts`` -- tries per rung before the ladder descends;
+    * ``validate`` -- reject non-finite or power-busting answers;
+    * ``chaos`` / ``chaos_seed`` -- optional :class:`FaultSpec` and the
+      seed of this frame's :class:`ChaosMonkey`;
+    * ``solvers`` (optional) -- rung implementations by name, overriding
+      the defaults (the chaos-test hook).
+
+    Nothing else is read, so the outcome is a pure function of the task
+    on every :class:`repro.parallel.Executor` backend.  A frame no rung
+    could answer comes back ``dropped`` with rung ``"none"`` and a
+    ``rung_index`` one past the last rung.
+    """
+    problem: RRAProblem = task["problem"]
+    names: Tuple[str, ...] = tuple(task["rungs"])
+    frame_budget_s = task["frame_budget_s"]
+    budget = (Budget(wall_clock_s=frame_budget_s)
+              if frame_budget_s is not None else None)
+    time_limit = frame_budget_s if frame_budget_s is not None else math.inf
+    table: Dict[str, Callable[[RRAProblem], RRAResult]] = {
+        "exact-bnb": lambda p: solve_rra_exact(
+            p, max_nodes=task["max_nodes"],
+            time_limit=(min(time_limit, budget.remaining_time)
+                        if budget is not None else time_limit)),
+        "lp-round": solve_rra_relaxed,
+        "pso": lambda p: solve_rra_pso(p, swarm_size=12, generations=30),
+        "greedy": solve_rra_greedy,
+    }
+    table.update(task.get("solvers") or {})
+    monkey = None
+    if task["chaos"] is not None:
+        monkey = ChaosMonkey(task["chaos"], seed=task["chaos_seed"],
+                             sleep=_no_sleep, budget=budget)
+        table = {name: monkey.wrap(table[name], name) for name in names}
+    retry = RetryPolicy(max_attempts=task["attempts"], base_delay=0.0, jitter=0.0)
+
+    def make_solve(name: str, guaranteed: bool) -> Callable[[], RRAResult]:
+        def solve() -> RRAResult:
+            if budget is not None:
+                if guaranteed:
+                    budget.charge(1)
+                else:
+                    budget.spend(1, context=f"rra[{name}]")
+            return table[name](problem)
+        return solve
+
+    last = len(names) - 1
+    rungs = [Rung(name=name, solve=make_solve(name, i == last), grade=name,
+                  retry=retry, guaranteed=(i == last))
+             for i, name in enumerate(names)]
+    start = time.perf_counter()
+    try:
+        res = run_ladder(
+            rungs, budget=budget,
+            validator=_validate_rra if task["validate"] else None,
+            sleep=_no_sleep, name="rra")
+    except (InfeasibleError, LadderExhaustedError):
+        res = None
+    solver_time_s = time.perf_counter() - start
+    ev = None
+    if res is not None:
+        assert isinstance(res.value, RRAResult)
+        ev = problem.evaluate_assignment(res.value.choice)
+    per_class: Dict[str, List[bool]] = {}
+    for i, u in enumerate(problem.users):
+        per_class.setdefault(u.service.value, []).append(
+            ev is not None and ev["user_rates"][i] >= u.min_rate_bps - 1e-6)
+    return {
+        "frame": task["frame"],
+        "dropped": res is None,
+        "rung": "none" if res is None else res.rung,
+        "rung_index": len(names) if res is None else res.rung_index,
+        "primary_failed": res is None or res.rung_index > 0,
+        "qos_ok": ev is not None and bool(ev["qos_ok"] and ev["power_ok"]),
+        "total_rate": 0.0 if ev is None else float(ev["total_rate"]),
+        "per_class_satisfaction": {
+            svc: float(np.mean(v)) for svc, v in sorted(per_class.items())},
+        "chaos_injections": 0 if monkey is None else len(monkey.events),
+        "solver_time_s": solver_time_s,
+        "rung_times": {} if res is None else dict(res.rung_times),
+    }

@@ -10,140 +10,40 @@ describes.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Literal
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError, InfeasibleError, LadderExhaustedError
-from repro.kernels.backend import resolve_backend
+from repro.exceptions import ConfigurationError
 from repro.obs import get_metrics, get_tracer
-from repro.parallel import Executor, RelaxationCache, derive_seed, fingerprint, map_solve
+from repro.parallel import Executor, derive_seed, map_solve
 from repro.qos.channel import ChannelConfig, ChannelModel
-from repro.qos.rra import (
-    RRAProblem,
-    RRAResult,
-    solve_rra_exact,
-    solve_rra_greedy,
-    solve_rra_pso,
-    solve_rra_relaxed,
-    solve_rra_resilient,
-)
+from repro.qos.rra import RRA_FALLBACK, RRAProblem, RRAResult, solve_frame
 from repro.qos.traffic import ServiceClass, TrafficGenerator, UserSession
-from repro.resilience import Budget, ChaosMonkey, CircuitBreaker, FaultSpec
+from repro.resilience import CircuitBreaker, FaultSpec
 
 Strategy = Literal["exact", "relaxed", "pso", "greedy"]
 
-_SOLVERS: Dict[str, Callable[[RRAProblem], RRAResult]] = {
-    "exact": lambda p: solve_rra_exact(p, max_nodes=4000, time_limit=20.0),
-    "relaxed": solve_rra_relaxed,
-    "pso": lambda p: solve_rra_pso(p, swarm_size=12, generations=30),
-    "greedy": solve_rra_greedy,
+#: strategy -> the :func:`~repro.qos.rra.solve_frame` rung that runs it
+_STRATEGY_RUNG: Dict[str, str] = {
+    "exact": "exact-bnb",
+    "relaxed": "lp-round",
+    "pso": "pso",
+    "greedy": "greedy",
 }
 
 __all__ = ["FrameStats", "ScheduleReport", "Scheduler"]
-
-
-def _frame_task(task: dict) -> dict:
-    """Solve one pre-drawn frame problem (module-level: process-picklable).
-
-    The task carries everything the solve needs; per-frame randomness
-    (ladder retries, chaos schedules) derives from the frame index via
-    :func:`~repro.parallel.derive_seed`, so the outcome is a pure
-    function of the task — the scheduler's determinism contract.
-    """
-    problem: RRAProblem = task["problem"]
-    frame: int = task["frame"]
-    strategy: str = task["strategy"]
-    max_nodes: int = task["max_nodes"]
-    start = time.perf_counter()
-    rung = strategy
-    degraded = False
-    rung_times: Dict[str, float] = {}
-    try:
-        if task["resilient"]:
-            frame_budget_s = task["frame_budget_s"]
-            budget = (Budget(wall_clock_s=frame_budget_s)
-                      if frame_budget_s is not None else None)
-            # determinism: without an explicit frame budget the exact rung
-            # is capped by its *node* budget, never by wall-clock — a
-            # deadline-truncated BnB returns a timing-dependent incumbent
-            time_limit = (frame_budget_s if frame_budget_s is not None
-                          else float("inf"))
-            solvers = dict(task["rra_solvers"] or {})
-            chaos_spec: FaultSpec | None = task["chaos"]
-            if chaos_spec is not None:
-                # a per-frame monkey: the injection schedule depends only on
-                # the frame index, never on cross-frame call ordering
-                monkey = ChaosMonkey(
-                    chaos_spec,
-                    seed=derive_seed(task["seed"], frame, "qos.chaos"),
-                    sleep=_no_sleep,
-                    budget=budget,
-                )
-                base: Dict[str, Callable[[RRAProblem], RRAResult]] = {
-                    "exact-bnb": lambda p: solve_rra_exact(
-                        p, max_nodes=max_nodes,
-                        time_limit=(min(time_limit, budget.remaining_time)
-                                    if budget is not None else time_limit)),
-                    "lp-round": solve_rra_relaxed,
-                    "greedy": solve_rra_greedy,
-                }
-                base.update(solvers)
-                solvers = {name: monkey.wrap(fn, name)
-                           for name, fn in base.items()}
-            rres = solve_rra_resilient(
-                problem,
-                budget=budget,
-                breaker=None,  # no shared breaker: frames must be independent
-                max_nodes=max_nodes,
-                time_limit=time_limit,
-                solvers=solvers or None,
-                rng=np.random.default_rng(
-                    derive_seed(task["seed"], frame, "qos.frame")),
-            )
-            result = rres.result
-            rung = rres.rung
-            degraded = rres.degraded
-            rung_times = dict(rres.rung_times)
-        elif strategy == "exact":
-            # node-budget cap only (see above): wall-clock truncation would
-            # make the frame's answer depend on machine load
-            result = solve_rra_exact(problem, max_nodes=max_nodes,
-                                     time_limit=float("inf"))
-        else:
-            result = _SOLVERS[strategy](problem)
-    except (InfeasibleError, LadderExhaustedError):
-        return {"frame": frame, "dropped": True,
-                "solver_time": time.perf_counter() - start}
-    solver_time = time.perf_counter() - start
-    if not rung_times:
-        rung_times = {rung: solver_time}
-    return {
-        "frame": frame,
-        "dropped": False,
-        "choice": result.choice,
-        "rung": rung,
-        "degraded": degraded,
-        "rung_times": rung_times,
-        "solver_time": solver_time,
-    }
-
-
-def _no_sleep(_s: float) -> None:
-    """Chaos latency stub for parallel frames (wall-clock injection would
-    break cross-backend timing comparability; budget burn still applies)."""
 
 
 @dataclass(frozen=True)
 class FrameStats:
     """Per-frame outcome.
 
-    ``rung`` records which solver actually answered the frame (in
-    resilient mode the fallback-ladder rung; otherwise the strategy
-    name); ``degraded`` is True when a fallback below the primary rung
-    served the frame.
+    ``rung`` records which ladder rung actually answered the frame
+    (``"none"`` for a dropped frame; a fixed strategy runs as a one-rung
+    ladder, e.g. ``relaxed`` as ``lp-round``); ``degraded`` is True when
+    anything but the primary rung served the frame.
     """
 
     frame: int
@@ -259,28 +159,17 @@ class Scheduler:
         frame_budget_s: float | None = None,
         rra_solvers: Dict[str, Callable[[RRAProblem], RRAResult]] | None = None,
         max_nodes: int = 4000,
-        cache: RelaxationCache | None = None,
     ):
         """``resilient=True`` routes every frame through the
-        :func:`~repro.qos.rra.solve_rra_resilient` fallback ladder instead
-        of a single fixed strategy; the shared ``breaker`` then trips the
-        hot path straight to the greedy rung after repeated upstream
-        failures.  ``frame_budget_s`` caps each frame's solve wall-clock;
-        ``rra_solvers`` overrides individual rungs (the chaos-test hook);
-        ``max_nodes`` caps the exact rung's branch-and-bound (the
-        deterministic cost knob the parallel path relies on).
-
-        ``cache`` memoizes frame solves by content fingerprint (problem
-        bytes + strategy configuration + the resolved kernels backend,
-        same keying discipline as
-        :func:`repro.verify.verification_fingerprint`): a repeated
-        channel realization — block fading, replayed scenario packs, or
-        re-runs under one seed — is answered without re-solving.  The
-        coordinator owns the cache, so memoization works unchanged with
-        the process executor; chaos runs bypass it (an injected fault
-        schedule must not be masked by a memoized healthy answer).
+        ``exact-bnb -> lp-round -> greedy`` fallback ladder of
+        :func:`~repro.qos.rra.solve_frame` instead of a single fixed
+        strategy; the shared ``breaker`` then caps frames to the greedy
+        rung after repeated primary-rung failures.  ``frame_budget_s``
+        caps each frame's solve wall-clock; ``rra_solvers`` overrides
+        individual rungs (the chaos-test hook); ``max_nodes`` caps the
+        exact rung's branch-and-bound (the deterministic cost knob).
         """
-        if strategy not in _SOLVERS:
+        if strategy not in _STRATEGY_RUNG:
             raise ConfigurationError(f"unknown strategy {strategy!r}")
         self.strategy = strategy
         self.resilient = resilient
@@ -288,7 +177,6 @@ class Scheduler:
         self.frame_budget_s = frame_budget_s
         self.rra_solvers = rra_solvers
         self.max_nodes = int(max_nodes)
-        self.cache = cache
         self.seed = seed
         self.rng = np.random.default_rng(seed)
         self.channel = ChannelModel(channel or ChannelConfig(), rng=self.rng)
@@ -329,228 +217,89 @@ class Scheduler:
             noise_mw=self.channel.noise_linear_mw,
         )
 
-    def _frame_key(self, problem: RRAProblem) -> str:
-        """Content-addressed key of one frame solve: the problem bytes
-        plus every knob that can change the answer, including the
-        resolved kernels backend (a vectorized answer is never served to
-        a reference run)."""
-        return fingerprint(
-            problem.gains, [(u.user_id, u.service.value, u.qos) for u in self.users],
-            self.power_levels, self.total_power, self.strategy,
-            self.resilient, self.frame_budget_s, self.max_nodes,
-            resolve_backend(None), "qos.frame",
-        )
-
-    def _cached_stats(self, frame: int, problem: RRAProblem, hit: dict) -> FrameStats:
-        """Rebuild FrameStats from a memoized frame outcome (the cheap
-        deterministic evaluation re-runs; only the solve is skipped)."""
-        if hit["dropped"]:
-            return FrameStats(frame, 0.0, False,
-                              {svc: 0.0 for svc in set(u.service for u in self.users)},
-                              0.0, rung="none", degraded=True)
-        ev = problem.evaluate_assignment(hit["choice"])
-        per_class: Dict[ServiceClass, List[bool]] = {}
-        for u, rate in zip(self.users, ev["user_rates"]):
-            per_class.setdefault(u.service, []).append(rate >= u.min_rate_bps - 1e-6)
-        return FrameStats(
-            frame=frame,
-            total_rate=ev["total_rate"],
-            qos_ok=ev["qos_ok"] and ev["power_ok"],
-            per_class_satisfaction={svc: float(np.mean(v))
-                                    for svc, v in per_class.items()},
-            solver_time=0.0,
-            rung=hit["rung"],
-            degraded=hit["degraded"],
-        )
+    def _task(self, frame: int, rungs: tuple, chaos: FaultSpec | None) -> dict:
+        """The :func:`~repro.qos.rra.solve_frame` task of one frame (draws
+        the frame's channel from the scheduler RNG)."""
+        return {
+            "frame": frame,
+            "problem": self._frame_problem(),
+            "rungs": rungs,
+            "max_nodes": self.max_nodes,
+            "frame_budget_s": self.frame_budget_s,
+            "attempts": 2 if self.resilient else 1,
+            "validate": self.resilient,
+            "chaos": chaos,
+            "chaos_seed": derive_seed(self.seed, frame, "qos.chaos"),
+            "solvers": self.rra_solvers,
+        }
 
     def run(self, n_frames: int = 10, executor: Executor | None = None,
             chunk_size: int | None = None,
             chaos: FaultSpec | None = None) -> ScheduleReport:
         """Run ``n_frames`` scheduling frames and merge the per-frame stats.
 
-        With an ``executor`` the frames fan out through
-        :func:`repro.parallel.map_solve` and the per-frame stats are
-        merged back into one :class:`ScheduleReport` in frame order.
-        The parallel path draws all channel realizations up front from
-        the scheduler's RNG and derives any per-frame randomness from
-        ``(seed, frame)``, so its :meth:`ScheduleReport.canonical`
-        projection is bit-identical across serial/thread/process
-        backends — at the price of not sharing the circuit breaker
-        between in-flight frames.  ``chaos`` (parallel path, resilient
-        mode only) injects a deterministic per-frame
+        Every frame is one :func:`~repro.qos.rra.solve_frame` task.  The
+        channel realizations come from the scheduler's RNG in frame
+        order and any per-frame randomness derives from ``(seed,
+        frame)``, so :meth:`ScheduleReport.canonical` is bit-identical
+        across serial/thread/process backends.  With ``executor=None``
+        frames are solved one at a time and share the circuit breaker:
+        while it is open a frame runs the greedy rung only, and frames
+        that start at the primary rung feed it.  With an ``executor``
+        the frames fan out through :func:`repro.parallel.map_solve` and,
+        being in flight together, bypass the breaker.  ``chaos``
+        (resilient mode only) injects a deterministic per-frame
         :class:`~repro.resilience.ChaosMonkey` around every rung.
         """
-        if executor is not None:
-            return self._run_parallel(n_frames, executor, chunk_size, chaos)
-        if chaos is not None:
-            raise ConfigurationError(
-                "chaos injection requires the parallel path (pass executor=)")
-        report = ScheduleReport()
-        solver = _SOLVERS[self.strategy]
-        tracer = get_tracer()
-        metrics = get_metrics()
-        for frame in range(n_frames):
-            problem = self._frame_problem()
-            key = self._frame_key(problem) if self.cache is not None else None
-            if key is not None:
-                hit = self.cache.get(key)
-                if hit is not None:
-                    metrics.counter("scheduler.frames_cached").inc()
-                    report.frames.append(self._cached_stats(frame, problem, hit))
-                    continue
-            start = time.perf_counter()
-            rung = self.strategy
-            degraded = False
-            rung_times: Dict[str, float] = {}
-            with tracer.span("qos.frame", frame=frame,
-                             strategy=self.strategy,
-                             resilient=self.resilient) as span:
-                try:
-                    if self.resilient:
-                        budget = (
-                            Budget(wall_clock_s=self.frame_budget_s)
-                            if self.frame_budget_s is not None
-                            else None
-                        )
-                        rres = solve_rra_resilient(
-                            problem,
-                            budget=budget,
-                            breaker=self.breaker,
-                            max_nodes=self.max_nodes,
-                            time_limit=self.frame_budget_s if self.frame_budget_s is not None else 20.0,
-                            solvers=self.rra_solvers,
-                            rng=self.rng,
-                        )
-                        result = rres.result
-                        rung = rres.rung
-                        degraded = rres.degraded
-                        rung_times = dict(rres.rung_times)
-                    else:
-                        result = solver(problem)
-                except (InfeasibleError, LadderExhaustedError):
-                    # No rung produced a frame plan: serve nobody this frame
-                    # rather than crash the control loop.
-                    span.set(rung="none", degraded=True)
-                    metrics.counter("scheduler.frames_dropped").inc()
-                    if key is not None:
-                        self.cache.put(key, {"dropped": True})
-                    report.frames.append(
-                        FrameStats(frame, 0.0, False,
-                                   {svc: 0.0 for svc in set(u.service for u in self.users)},
-                                   time.perf_counter() - start,
-                                   rung="none", degraded=True)
-                    )
-                    continue
-                solver_time = time.perf_counter() - start
-                if not rung_times:
-                    rung_times = {rung: solver_time}
-                span.set(rung=rung, degraded=degraded)
-                ev = problem.evaluate_assignment(result.choice)
-            if key is not None:
-                self.cache.put(key, {"dropped": False, "choice": result.choice,
-                                     "rung": rung, "degraded": degraded})
-            metrics.counter("scheduler.frames", rung=rung).inc()
-            if degraded:
-                metrics.counter("scheduler.frames_degraded").inc()
-            per_class: Dict[ServiceClass, List[bool]] = {}
-            for u, rate in zip(self.users, ev["user_rates"]):
-                per_class.setdefault(u.service, []).append(rate >= u.min_rate_bps - 1e-6)
-            report.frames.append(
-                FrameStats(
-                    frame=frame,
-                    total_rate=ev["total_rate"],
-                    qos_ok=ev["qos_ok"] and ev["power_ok"],
-                    per_class_satisfaction={svc: float(np.mean(v)) for svc, v in per_class.items()},
-                    solver_time=solver_time,
-                    rung=rung,
-                    degraded=degraded,
-                    rung_times=rung_times,
-                )
-            )
-        return report
-
-    def _run_parallel(self, n_frames: int, executor: Executor,
-                      chunk_size: int | None,
-                      chaos: FaultSpec | None) -> ScheduleReport:
         if chaos is not None and not self.resilient:
             raise ConfigurationError(
                 "chaos injection needs resilient=True (the ladder absorbs "
-                "the injected faults; a bare strategy would just crash)")
-        metrics = get_metrics()
-        tracer = get_tracer()
-        # channel/traffic randomness stays on the scheduler RNG, drawn
-        # serially up front — identical problems regardless of backend
-        problems = [self._frame_problem() for _ in range(n_frames)]
-        # the coordinator owns the cache: hits are served here and only
-        # the misses are dispatched, so memoization is backend-agnostic;
-        # chaos runs bypass it (a memoized healthy answer would mask the
-        # injected fault schedule)
-        use_cache = self.cache is not None and chaos is None
-        keys = [self._frame_key(p) for p in problems] if use_cache else []
-        cached: Dict[int, dict] = {}
-        if use_cache:
-            for frame, k in enumerate(keys):
-                hit = self.cache.get(k)
-                if hit is not None:
-                    cached[frame] = hit
-        tasks = [
-            {
-                "frame": frame,
-                "problem": problem,
-                "strategy": self.strategy,
-                "resilient": self.resilient,
-                "frame_budget_s": self.frame_budget_s,
-                "rra_solvers": self.rra_solvers,
-                "chaos": chaos,
-                "seed": self.seed,
-                "max_nodes": self.max_nodes,
-            }
-            for frame, problem in enumerate(problems)
-            if frame not in cached
-        ]
-        with tracer.span("qos.schedule", backend=executor.backend,
-                         n_frames=n_frames, strategy=self.strategy,
-                         resilient=self.resilient):
-            outcomes = map_solve(_frame_task, tasks, executor=executor,
-                                 chunk_size=chunk_size, label="qos.frames")
-        out_by_frame = {out["frame"]: out for out in outcomes}
+                "the injected faults; a one-rung strategy would drop frames)")
+        ladder = RRA_FALLBACK if self.resilient else (_STRATEGY_RUNG[self.strategy],)
+        breaker = self.breaker if executor is None and self.resilient else None
+        batch = 1 if executor is None else max(n_frames, 1)
         report = ScheduleReport()
-        for frame, problem in enumerate(problems):
-            if frame in cached:
-                metrics.counter("scheduler.frames_cached").inc()
-                report.frames.append(self._cached_stats(frame, problem,
-                                                        cached[frame]))
-                continue
-            out = out_by_frame[frame]
-            if use_cache:
-                self.cache.put(keys[frame],
-                               {"dropped": True} if out["dropped"] else
-                               {"dropped": False, "choice": out["choice"],
-                                "rung": out["rung"],
-                                "degraded": out["degraded"]})
-            if out["dropped"]:
-                metrics.counter("scheduler.frames_dropped").inc()
-                report.frames.append(FrameStats(
-                    frame, 0.0, False,
-                    {svc: 0.0 for svc in set(u.service for u in self.users)},
-                    out["solver_time"], rung="none", degraded=True))
-                continue
-            ev = problem.evaluate_assignment(out["choice"])
-            metrics.counter("scheduler.frames", rung=out["rung"]).inc()
-            if out["degraded"]:
-                metrics.counter("scheduler.frames_degraded").inc()
-            per_class: Dict[ServiceClass, List[bool]] = {}
-            for u, rate in zip(self.users, ev["user_rates"]):
-                per_class.setdefault(u.service, []).append(rate >= u.min_rate_bps - 1e-6)
-            report.frames.append(FrameStats(
-                frame=frame,
-                total_rate=ev["total_rate"],
-                qos_ok=ev["qos_ok"] and ev["power_ok"],
-                per_class_satisfaction={svc: float(np.mean(v))
-                                        for svc, v in per_class.items()},
-                solver_time=out["solver_time"],
-                rung=out["rung"],
-                degraded=out["degraded"],
-                rung_times=out["rung_times"],
-            ))
+        with get_tracer().span("qos.schedule", n_frames=n_frames,
+                               backend=getattr(executor, "backend", "inline"),
+                               strategy=self.strategy, resilient=self.resilient):
+            for first in range(0, n_frames, batch):
+                tasks = [
+                    self._task(frame, ladder if breaker is None or breaker.allow()
+                               else RRA_FALLBACK[-1:], chaos)
+                    for frame in range(first, min(first + batch, n_frames))
+                ]
+                outcomes = ([solve_frame(task) for task in tasks] if executor is None
+                            else map_solve(solve_frame, tasks, executor=executor,
+                                           chunk_size=chunk_size, label="qos.frames"))
+                for task, out in zip(tasks, outcomes):
+                    if breaker is not None and task["rungs"][0] == ladder[0]:
+                        if out["primary_failed"]:
+                            breaker.record_failure()
+                        else:
+                            breaker.record_success()
+                    report.frames.append(self._frame_stats(out, primary=ladder[0]))
         return report
+
+    @staticmethod
+    def _frame_stats(out: dict, primary: str) -> FrameStats:
+        """Merge one :func:`~repro.qos.rra.solve_frame` outcome; a frame
+        not answered by the ladder's ``primary`` rung is degraded."""
+        metrics = get_metrics()
+        degraded = out["rung"] != primary
+        if out["dropped"]:
+            metrics.counter("scheduler.frames_dropped").inc()
+        else:
+            metrics.counter("scheduler.frames", rung=out["rung"]).inc()
+            if degraded:
+                metrics.counter("scheduler.frames_degraded").inc()
+        return FrameStats(
+            frame=out["frame"],
+            total_rate=out["total_rate"],
+            qos_ok=out["qos_ok"],
+            per_class_satisfaction={ServiceClass(svc): v for svc, v
+                                    in out["per_class_satisfaction"].items()},
+            solver_time=out["solver_time_s"],
+            rung=out["rung"],
+            degraded=degraded,
+            rung_times=out["rung_times"],
+        )

@@ -8,9 +8,9 @@ frame solves.  The split matters for determinism and parallelism:
   transitions, channel draws) happens on the coordinator, serially, in
   cell order;
 * the *solve* itself is a pure function of a picklable task dict
-  (:func:`solve_shard_task`, module-level so the process backend can
-  import it), with any per-frame randomness derived from
-  ``(seed, frame, cell)`` via :func:`repro.parallel.derive_seed`.
+  (:func:`solve_shard_task`, which is :func:`repro.qos.rra.solve_frame`),
+  with the per-frame chaos seed derived from ``(seed, frame, cell)`` via
+  :func:`repro.parallel.derive_seed` on the coordinator.
 
 Under that contract the service can fan shard frames out through any
 :class:`repro.parallel.Executor` backend and the resulting reports are
@@ -27,17 +27,12 @@ one — the standard macro-cell abstraction (see docs/SERVING.md).
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.exceptions import (
-    ConfigurationError,
-    InfeasibleError,
-    LadderExhaustedError,
-)
+from repro.exceptions import ConfigurationError
 from repro.obs import (
     LATENCY_BUCKETS,
     SECONDS_BUCKETS,
@@ -49,26 +44,13 @@ from repro.obs import (
 )
 from repro.parallel import derive_seed
 from repro.qos.channel import ChannelConfig, ChannelModel
-from repro.qos.rra import (
-    RRA_FALLBACK,
-    RRAProblem,
-    RRAResult,
-    solve_rra_exact,
-    solve_rra_greedy,
-    solve_rra_relaxed,
-)
+from repro.qos.rra import RRA_FALLBACK, RRAProblem, solve_frame
 from repro.qos.traffic import DEFAULT_QOS, QoSRequirement, ServiceClass, UserSession
-from repro.resilience import Budget, ChaosMonkey, CircuitBreaker, FaultSpec, Rung, run_ladder
-from repro.resilience.ladder import LadderResult
+from repro.resilience import CircuitBreaker, FaultSpec
 from repro.serve.overload import OverloadConfig, OverloadMachine
 from repro.serve.queueing import AdmissionQueue, FrameRequest
 
 __all__ = ["ShardConfig", "ShardFrameOutcome", "SchedulerShard", "solve_shard_task"]
-
-
-def _no_sleep(_s: float) -> None:
-    """Chaos latency stub (wall-clock sleeps would break cross-backend
-    timing comparability; budget burn still applies)."""
 
 
 @dataclass(frozen=True)
@@ -148,97 +130,10 @@ def _scaled_session(index: int, svc: ServiceClass, scale: float) -> UserSession:
     ))
 
 
-def solve_shard_task(task: dict) -> dict:
-    """Solve one shard frame (module-level: process-picklable).
-
-    Walks the overload-capped fallback ladder over the frame's
-    :class:`RRAProblem`; the answer plus provenance comes back as a
-    plain dict the coordinator merges.  All randomness derives from the
-    task's ``(seed, frame, cell)`` identity, so the outcome is a pure
-    function of the task — the shard determinism contract.
-    """
-    problem: RRAProblem = task["problem"]
-    cell: int = task["cell"]
-    frame: int = task["frame"]
-    rung_names: Tuple[str, ...] = tuple(task["rungs"])
-    max_nodes: int = task["max_nodes"]
-    frame_budget_s = task["frame_budget_s"]
-    chaos_spec: Optional[FaultSpec] = task.get("chaos")
-    budget = (Budget(wall_clock_s=frame_budget_s)
-              if frame_budget_s is not None else None)
-    time_limit = frame_budget_s if frame_budget_s is not None else float("inf")
-
-    solvers = {
-        "exact-bnb": lambda p: solve_rra_exact(
-            p, max_nodes=max_nodes,
-            time_limit=(min(time_limit, budget.remaining_time)
-                        if budget is not None else time_limit)),
-        "lp-round": solve_rra_relaxed,
-        "greedy": solve_rra_greedy,
-    }
-    monkey = None
-    if chaos_spec is not None:
-        monkey = ChaosMonkey(
-            chaos_spec,
-            seed=derive_seed(task["seed"], frame, f"serve.chaos.{cell}"),
-            sleep=_no_sleep,
-            budget=budget,
-        )
-        solvers = {name: monkey.wrap(fn, name) for name, fn in solvers.items()}
-
-    def make_solve(name: str, guaranteed: bool):
-        def solve() -> RRAResult:
-            if budget is not None:
-                if guaranteed:
-                    budget.charge(1)
-                else:
-                    budget.spend(1, context=f"serve[{name}]")
-            return solvers[name](problem)
-        return solve
-
-    rungs = [
-        Rung(name=name, solve=make_solve(name, i == len(rung_names) - 1),
-             grade=name, guaranteed=(i == len(rung_names) - 1))
-        for i, name in enumerate(rung_names)
-    ]
-    start = time.perf_counter()
-    try:
-        res: LadderResult = run_ladder(
-            rungs, budget=budget, rng=np.random.default_rng(
-                derive_seed(task["seed"], frame, f"serve.frame.{cell}")),
-            sleep=_no_sleep, name="serve")
-    except (InfeasibleError, LadderExhaustedError):
-        return {
-            "cell": cell, "frame": frame, "dropped": True, "rung": "none",
-            "degraded": True, "qos_ok": False, "total_rate": 0.0,
-            "solver_time_s": time.perf_counter() - start,
-            "primary_failed": True, "per_class_satisfaction": {},
-            "chaos_injections": 0 if monkey is None else len(monkey.events),
-        }
-    result = res.value
-    assert isinstance(result, RRAResult)
-    ev = problem.evaluate_assignment(result.choice)
-    per_class: Dict[str, List[bool]] = {}
-    for u, rate in zip(problem.users, ev["user_rates"]):
-        per_class.setdefault(u.service.value, []).append(
-            rate >= u.min_rate_bps - 1e-6)
-    return {
-        "cell": cell,
-        "frame": frame,
-        "dropped": False,
-        "rung": res.rung,
-        # degraded relative to the *full* ladder: a frame answered by
-        # lp-round while the overload cap already excluded exact-bnb is
-        # still a degraded answer
-        "degraded": res.rung != RRA_FALLBACK[0],
-        "qos_ok": bool(ev["qos_ok"] and ev["power_ok"]),
-        "total_rate": float(ev["total_rate"]),
-        "solver_time_s": time.perf_counter() - start,
-        "primary_failed": res.rung_index > 0,
-        "per_class_satisfaction": {
-            svc: float(np.mean(v)) for svc, v in sorted(per_class.items())},
-        "chaos_injections": 0 if monkey is None else len(monkey.events),
-    }
+#: the shard frame solve, dispatched by ``QoSService`` through
+#: :func:`repro.parallel.map_solve`: one :func:`repro.qos.rra.solve_frame`
+#: task per non-idle shard and tick
+solve_shard_task = solve_frame
 
 
 class SchedulerShard:
@@ -338,14 +233,18 @@ class SchedulerShard:
             noise_mw=self._channel.noise_linear_mw,
         )
         return {
-            "cell": self.cell,
             "frame": frame,
             "problem": problem,
             "rungs": self.overload.allowed_rungs(),
             "max_nodes": cfg.max_nodes,
             "frame_budget_s": cfg.frame_budget_s,
-            "seed": self.seed,
+            # the serving policy: one try per rung and no validator (the
+            # overload machine and breaker, not retries, absorb a failing
+            # rung; the committed soak rows and fingerprints pin this)
+            "attempts": 1,
+            "validate": False,
             "chaos": chaos,
+            "chaos_seed": derive_seed(self.seed, frame, f"serve.chaos.{self.cell}"),
         }
 
     def absorb(self, outcome: dict, now_s: float) -> ShardFrameOutcome:
@@ -357,9 +256,13 @@ class SchedulerShard:
         """
         batch, self._in_flight = self._in_flight, []
         out = ShardFrameOutcome(
-            cell=outcome["cell"], frame=outcome["frame"],
+            cell=self.cell, frame=outcome["frame"],
             dropped=outcome["dropped"], rung=outcome["rung"],
-            degraded=outcome["degraded"], qos_ok=outcome["qos_ok"],
+            # degraded relative to the *full* ladder: a frame answered by
+            # lp-round while the overload cap already excluded exact-bnb is
+            # still a degraded answer
+            degraded=outcome["rung"] != RRA_FALLBACK[0],
+            qos_ok=outcome["qos_ok"],
             total_rate=outcome["total_rate"],
             solver_time_s=outcome["solver_time_s"],
             primary_failed=outcome["primary_failed"],

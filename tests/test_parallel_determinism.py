@@ -251,6 +251,12 @@ class TestSchedulerDeterminism:
         legacy = Scheduler(n_users=3, strategy="greedy", seed=7,
                            rate_floor_scale=0.3).run(4).canonical()
         assert results["serial"] == legacy
+        # ... for a node-capped exact strategy too: max_nodes is its only cap
+        exact = dict(n_users=3, strategy="exact", max_nodes=5, seed=7,
+                     rate_floor_scale=0.3)
+        with SerialExecutor() as ex:
+            fanned = Scheduler(**exact).run(4, executor=ex).canonical()
+        assert fanned == Scheduler(**exact).run(4).canonical()
 
     def test_seed_changes_report(self):
         with SerialExecutor() as ex:

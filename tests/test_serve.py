@@ -5,12 +5,14 @@ derives from task identity, and chaos schedules are seeded — so even
 the soak-style tests assert exact equalities across executor backends.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.obs import Telemetry
-from repro.parallel import ProcessExecutor, SerialExecutor, ThreadExecutor
+from repro.parallel import ProcessExecutor, SerialExecutor, ThreadExecutor, derive_seed
 from repro.qos.mobility import GilbertElliottConfig
 from repro.qos.rra import RRA_FALLBACK
 from repro.qos.traffic import MMPPConfig, ServiceClass
@@ -289,12 +291,23 @@ class TestShard:
         assert tuple(task["rungs"]) == RRA_FALLBACK[2:]
         assert task["problem"].n_users == 3
 
-    def test_solve_is_a_pure_function_of_the_task(self):
+    @pytest.mark.parametrize("policy", [
+        {},
+        # the Scheduler's policy: retries, the validator, and a chaos
+        # schedule seeded with its salt (this one drops the frame)
+        {"attempts": 2, "validate": True,
+         "chaos": FaultSpec(exception_rate=0.6, nan_rate=0.4),
+         "chaos_seed": derive_seed(9, 0, "qos.chaos")},
+    ], ids=["shard", "scheduler"])
+    def test_solve_is_a_pure_function_of_the_task(self, policy):
         shard = self._loaded_shard()
-        task = shard.build_task(now_s=0.1, frame=0)
-        a, b = solve_shard_task(task), solve_shard_task(task)
-        a.pop("solver_time_s"), b.pop("solver_time_s")
-        assert a == b
+        task = {**shard.build_task(now_s=0.1, frame=0), **policy}
+        outs = [solve_shard_task(task), solve_shard_task(task),
+                solve_shard_task(pickle.loads(pickle.dumps(task)))]
+        for out in outs:
+            out.pop("solver_time_s"), out.pop("rung_times")
+        assert outs[0] == outs[1] == outs[2]
+        assert (outs[0]["chaos_injections"] > 0) == bool(policy)
 
     def test_primary_failure_feeds_breaker(self):
         shard = SchedulerShard(0, ShardConfig(breaker_failure_threshold=2),

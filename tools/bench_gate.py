@@ -6,7 +6,10 @@ Replays the workload of ``benchmarks/bench_kernels.py`` (via its pure
 against the committed snapshot ``benchmarks/results/BENCH_kernels.json``.
 The gate **fails** (exit 1) when any family's speedup drops more than
 ``--threshold`` (default 25%) below the committed value — the signal
-that a kernel silently fell off its vectorized fast path.
+that a kernel silently fell off its vectorized fast path.  The CLI then
+replays the analyzer, serving, telemetry, streaming-DSP and first-order
+benches against their ``BENCH_*.json`` snapshots the same way; a
+missing snapshot fails the gate.
 
 Run from the repo root::
 
@@ -448,33 +451,27 @@ def main(argv=None) -> int:
         help="allowed fractional first-order fast-path speedup drop before "
              "failing; the absolute 5x floor always applies (default 0.3)")
     opts = parser.parse_args(argv)
-    failures = check_regressions(opts.threshold)
-    if ANALYSIS_SNAPSHOT.is_file():
-        print()
-        failures += check_analysis_regressions(opts.analysis_threshold)
-    else:
-        print("\n(no BENCH_analysis.json snapshot; analyzer gate skipped)")
-    if SERVE_SNAPSHOT.is_file():
-        print()
-        failures += check_serve_regressions(opts.serve_threshold)
-    else:
-        print("\n(no BENCH_serve_soak.json snapshot; serve gate skipped)")
-    if OBS_SNAPSHOT.is_file():
-        print()
-        failures += check_obs_regressions()
-    else:
-        print("\n(no BENCH_obs_overhead.json snapshot; obs gate skipped)")
-    if SIGNAL_SNAPSHOT.is_file():
-        print()
-        failures += check_signal_streaming_regressions(opts.signal_threshold)
-    else:
-        print("\n(no BENCH_signal_streaming.json snapshot; "
-              "signal gate skipped)")
-    if FIRSTORDER_SNAPSHOT.is_file():
-        print()
-        failures += check_firstorder_regressions(opts.firstorder_threshold)
-    else:
-        print("\n(no BENCH_firstorder.json snapshot; firstorder gate skipped)")
+    # every gate's baseline must live in the repo: a missing snapshot is
+    # a failure
+    gates = (
+        (SNAPSHOT, lambda: check_regressions(opts.threshold)),
+        (ANALYSIS_SNAPSHOT,
+         lambda: check_analysis_regressions(opts.analysis_threshold)),
+        (SERVE_SNAPSHOT, lambda: check_serve_regressions(opts.serve_threshold)),
+        (OBS_SNAPSHOT, check_obs_regressions),
+        (SIGNAL_SNAPSHOT,
+         lambda: check_signal_streaming_regressions(opts.signal_threshold)),
+        (FIRSTORDER_SNAPSHOT,
+         lambda: check_firstorder_regressions(opts.firstorder_threshold)),
+    )
+    failures = []
+    for snapshot, check in gates:
+        print(f"\n== {snapshot.name}")
+        if snapshot.is_file():
+            failures += check()
+        else:
+            failures.append(f"{snapshot.name}: snapshot missing; commit it "
+                            "with the bench's --commit-results run")
     if failures:
         for f in failures:
             print(f"FAIL: {f}", file=sys.stderr)
