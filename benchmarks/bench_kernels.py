@@ -1,6 +1,7 @@
 """KERN — vectorized kernel layer vs the reference Python loops.
 
-Measures the three hot paths the :mod:`repro.kernels` layer rewired:
+Measures the three hot paths the :mod:`repro.kernels` layer rewired,
+each against its loop oracle in :mod:`repro.kernels.reference`:
 
 * **sdp_gram_projection** — constraint-Gram assembly plus affine-subspace
   projection inside the SDP ADMM solver (``O(m^2)`` ``frobenius_inner``
@@ -11,7 +12,7 @@ Measures the three hot paths the :mod:`repro.kernels` layer rewired:
   the per-particle loops (bit-identical by contract, so the speedup is
   pure vectorization).
 
-Each family runs best-of-``_REPEATS`` on both backends and asserts the
+Each family runs best-of-``_REPEATS`` on both forms and asserts the
 committed acceptance claim: **>= 3x on at least two families**.  Pass
 ``--commit-results`` to refresh the tracked snapshot::
 
@@ -30,14 +31,13 @@ import pytest
 from _harness import best_of, maybe_write_bench_json
 from conftest import banner
 from repro.convex.sdp import AffineSubspaceProjector
-from repro.kernels import (
-    reflect_box,
+from repro.kernels import reflect_box, velocity_update
+from repro.kernels.propagation import crown_ibp_margin_batch
+from repro.kernels.reference import (
+    affine_projection_reference,
     reflect_box_reference,
-    use_backend,
-    velocity_update,
     velocity_update_reference,
 )
-from repro.kernels.propagation import crown_ibp_margin_batch
 from repro.nn.layers import Dense, ReLU
 from repro.nn.network import Sequential
 from repro.verify.linear_bounds import crown_margin_lower_bound
@@ -66,12 +66,10 @@ def _bench_sdp_gram_projection() -> dict:
     x = rng.standard_normal((_GRAM_N, _GRAM_N))
     x = 0.5 * (x + x.T)
 
-    def run(backend):
-        proj = AffineSubspaceProjector(mats, rhs, backend=backend)
-        return proj.project(x)
-
-    ref, t_ref = best_of(lambda: run("reference"), _REPEATS)
-    fast, t_fast = best_of(lambda: run("vectorized"), _REPEATS)
+    ref, t_ref = best_of(lambda: affine_projection_reference(mats, rhs, x),
+                         _REPEATS)
+    fast, t_fast = best_of(
+        lambda: AffineSubspaceProjector(mats, rhs).project(x), _REPEATS)
     assert np.allclose(ref, fast, atol=1e-8)
     return {"family": "sdp_gram_projection", "m": _GRAM_M, "n": _GRAM_N,
             "reference_s": t_ref, "vectorized_s": t_fast,
@@ -91,12 +89,11 @@ def _bench_verify_batch() -> dict:
     d = rng.standard_normal(_VERIFY_BATCH)
 
     def run_reference():
-        with use_backend("reference"):
-            return np.array([
-                crown_margin_lower_bound(net, x0[i], float(eps[i]), c[i],
-                                         float(d[i]), method="crown-ibp")
-                for i in range(_VERIFY_BATCH)
-            ])
+        return np.array([
+            crown_margin_lower_bound(net, x0[i], float(eps[i]), c[i],
+                                     float(d[i]), method="crown-ibp")
+            for i in range(_VERIFY_BATCH)
+        ])
 
     ref, t_ref = best_of(run_reference, _REPEATS)
     fast, t_fast = best_of(lambda: crown_ibp_margin_batch(net, x0, eps, c, d),

@@ -17,8 +17,8 @@ generates.  This package is the gradient-only backend:
   Shor-lift-solve-recover-project pipeline slotted between the ``sdp``
   and barrier rungs of :func:`repro.convex.qcqp.solve_qcqp_resilient`.
 
-Everything runs behind the :mod:`repro.kernels` vectorized/reference
-backend switch and answers either *certified* or not at all
+Everything runs on the :mod:`repro.kernels` vectorized kernels and
+answers either *certified* or not at all
 (:class:`~repro.exceptions.CertificationError`), so fallback ladders
 degrade honestly instead of returning a fast wrong answer.
 """

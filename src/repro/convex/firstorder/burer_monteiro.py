@@ -37,12 +37,9 @@ import numpy as np
 
 from repro.convex.problem import Solution
 from repro.exceptions import CertificationError, ConfigurationError, DimensionError
-from repro.kernels.backend import resolve_backend
 from repro.kernels.gram import (
     apply_adjoint_batch,
-    apply_adjoint_batch_reference,
     apply_operator_batch,
-    apply_operator_batch_reference,
     outer_product_batch,
     stack_symmetric,
 )
@@ -84,21 +81,11 @@ class BatchSDPResult:
         return int(np.sum(~self.certified))
 
 
-def _ops(backend: Optional[str]):
-    if resolve_backend(backend) == "reference":
-        def xmat(v):
-            return np.stack([vb @ vb.T for vb in v]) if len(v) else v[..., :0]
-        return apply_operator_batch_reference, apply_adjoint_batch_reference, xmat
-    return (apply_operator_batch, apply_adjoint_batch,
-            lambda v: outer_product_batch(v))
-
-
-def _merit(cmats, eq_stacks, eq_rhs, ineq_stacks, ineq_rhs,
-           y, z, sigma, v, op, xmat):
+def _merit(cmats, eq_stacks, eq_rhs, ineq_stacks, ineq_rhs, y, z, sigma, v):
     """Augmented-Lagrangian value, residuals and the multiplier shifts."""
-    x = xmat(v)
-    eqr = op(eq_stacks, x) - eq_rhs
-    iv = op(ineq_stacks, x) - ineq_rhs
+    x = outer_product_batch(v)
+    eqr = apply_operator_batch(eq_stacks, x) - eq_rhs
+    iv = apply_operator_batch(ineq_stacks, x) - ineq_rhs
     zhat = np.maximum(0.0, z + sigma[:, None] * iv)
     obj = np.einsum("bij,bij->b", cmats, x)
     phi = (obj
@@ -128,7 +115,6 @@ def solve_sdp_firstorder_batch(
     trace_ub: Optional[float] = None,
     v0: Optional[np.ndarray] = None,
     budget: Optional[Budget] = None,
-    backend: Optional[str] = None,
 ) -> BatchSDPResult:
     """Solve ``B`` small SDPs at once by batched Burer–Monteiro.
 
@@ -158,7 +144,6 @@ def solve_sdp_firstorder_batch(
     else:
         ineq_stacks = np.asarray(ineq_stacks, dtype=np.float64).reshape(nb, -1, n, n)
         ineq_rhs = np.asarray(ineq_rhs, dtype=np.float64).reshape(nb, -1)
-    op, adj, xmat = _ops(backend)
 
     r_max = n if max_rank is None else max(1, min(int(max_rank), n))
     # floor the starting rank at the Barvinok–Pataki bound: an extreme
@@ -216,7 +201,7 @@ def solve_sdp_firstorder_batch(
     # cached merit state at the current v (one fresh merit evaluation per
     # iteration: the trial's; accepted trials *become* the cached state)
     x, eqr, iv, zhat, obj, phi = _merit(
-        c, eq_stacks, eq_rhs, ineq_stacks, ineq_rhs, y, z, sigma, v, op, xmat)
+        c, eq_stacks, eq_rhs, ineq_stacks, ineq_rhs, y, z, sigma, v)
 
     for it in range(max_iter):
         if budget is not None:
@@ -224,7 +209,8 @@ def solve_sdp_firstorder_batch(
         if not np.any(active):
             break
         yhat = y - sigma[:, None] * eqr
-        s = c - adj(yhat, eq_stacks) + adj(zhat, ineq_stacks)
+        s = (c - apply_adjoint_batch(yhat, eq_stacks)
+             + apply_adjoint_batch(zhat, ineq_stacks))
         g = 2.0 * np.einsum("bij,bjr->bir", s, v)
         gnorm2 = np.einsum("bir,bir->b", g, g)
         gnorm = np.sqrt(gnorm2)
@@ -242,7 +228,7 @@ def solve_sdp_firstorder_batch(
 
         trial = v - step[:, None, None] * g
         tx, teqr, tiv, tzhat, tobj, phi_t = _merit(
-            c, eq_stacks, eq_rhs, ineq_stacks, ineq_rhs, y, z, sigma, trial, op, xmat)
+            c, eq_stacks, eq_rhs, ineq_stacks, ineq_rhs, y, z, sigma, trial)
         ref_phi = np.maximum(np.max(phi_ring, axis=1), phi)
         accept = phi_t <= ref_phi - _ARMIJO * step * gnorm2
         move = active & accept
@@ -326,7 +312,7 @@ def solve_sdp_firstorder_batch(
             if idx.size:
                 rx, reqr, riv, rzhat, robj, rphi = _merit(
                     c, eq_stacks, eq_rhs, ineq_stacks, ineq_rhs,
-                    y, z, sigma, v, op, xmat)
+                    y, z, sigma, v)
                 e3 = esc[:, None, None]
                 x = np.where(e3, rx, x)
                 eqr = np.where(esc[:, None], reqr, eqr)
@@ -349,7 +335,8 @@ def solve_sdp_firstorder_batch(
     # --- dual certification (single batched eigh, outside the loop;
     # the cached merit state is current for the final iterate) ----------
     yhat = y - sigma[:, None] * eqr
-    s = c - adj(yhat, eq_stacks) + adj(zhat, ineq_stacks)
+    s = (c - apply_adjoint_batch(yhat, eq_stacks)
+         + apply_adjoint_batch(zhat, ineq_stacks))
     s = 0.5 * (s + np.transpose(s, (0, 2, 1)))
     min_eig = (np.linalg.eigvalsh(s)[:, 0] if n
                else np.zeros(nb))

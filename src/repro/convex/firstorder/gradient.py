@@ -38,8 +38,7 @@ import numpy as np
 
 from repro.convex.problem import Solution
 from repro.exceptions import CertificationError, DimensionError
-from repro.kernels.backend import resolve_backend
-from repro.kernels.gram import quad_gradient_batch, quad_gradient_batch_reference
+from repro.kernels.gram import quad_gradient_batch
 from repro.obs import current_span, profiled
 from repro.resilience.budget import Budget
 
@@ -68,12 +67,6 @@ class BatchQPResult:
         return int(np.sum(~self.certified))
 
 
-def _gradient_fn(backend: Optional[str]):
-    if resolve_backend(backend) == "reference":
-        return quad_gradient_batch_reference
-    return quad_gradient_batch
-
-
 @profiled("convex.firstorder.box_qp_batch")
 def box_qp_fista_batch(
     p: np.ndarray,
@@ -85,7 +78,6 @@ def box_qp_fista_batch(
     tol: float = 1e-9,
     cert_tol: float = 1e-6,
     budget: Optional[Budget] = None,
-    backend: Optional[str] = None,
 ) -> BatchQPResult:
     """Solve ``B`` box QPs at once by FISTA with adaptive restart.
 
@@ -102,7 +94,6 @@ def box_qp_fista_batch(
     nb, n = q.shape
     lo = np.broadcast_to(np.asarray(lo, dtype=np.float64), (nb, n)).copy()
     hi = np.broadcast_to(np.asarray(hi, dtype=np.float64), (nb, n)).copy()
-    grad = _gradient_fn(backend)
 
     # one-time per-problem Lipschitz constants (batched eigh applies the
     # same LAPACK routine per slice, so L_b is batch-size independent)
@@ -124,7 +115,7 @@ def box_qp_fista_batch(
             budget.spend(1, context="box_qp_fista_batch")
         if not np.any(active):
             break
-        g = grad(p, y, q)
+        g = quad_gradient_batch(p, y, q)
         x_new = np.clip(y - step * g, lo, hi)
         diff = x_new - x
         # O'Donoghue–Candès restart: momentum fights the descent direction
@@ -146,7 +137,7 @@ def box_qp_fista_batch(
 
     converged = ~active
     # --- closed-form duality-gap certification -------------------------
-    g = grad(p, x, q)
+    g = quad_gradient_batch(p, x, q)
     fin_lo = np.isfinite(lo)
     fin_hi = np.isfinite(hi)
     lam = np.where(fin_lo, np.maximum(g, 0.0), 0.0)
@@ -183,7 +174,6 @@ def box_qp_fista(
     cert_tol: float = 1e-6,
     certify: bool = True,
     budget: Optional[Budget] = None,
-    backend: Optional[str] = None,
 ) -> Solution:
     """Single-problem form of :func:`box_qp_fista_batch` (a batch of one,
     so the trajectory is bit-identical to the batched solve).
@@ -200,7 +190,7 @@ def box_qp_fista(
         np.broadcast_to(np.asarray(hi, dtype=np.float64), (n,))[None, :],
         x0=None if x0 is None else np.asarray(x0, dtype=np.float64).reshape(1, n),
         max_iter=max_iter, tol=tol, cert_tol=cert_tol,
-        budget=budget, backend=backend,
+        budget=budget,
     )
     if certify and not bool(res.certified[0]):
         raise CertificationError(

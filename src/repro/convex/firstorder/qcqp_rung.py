@@ -36,7 +36,6 @@ def solve_qcqp_firstorder(
     cert_tol: float = 1e-3,
     max_iter: int = 2000,
     seed: int = 0,
-    backend: Optional[str] = None,
 ) -> Solution:
     """Certified first-order solve of a (possibly nonconvex) QCQP.
 
@@ -78,7 +77,7 @@ def solve_qcqp_firstorder(
         obj, eq_mats, np.asarray(eq_rhs), ineq_mats or None,
         ineq_rhs if len(ineq_mats) else None,
         warm_start=lifted_ws, max_iter=max_iter, cert_tol=cert_tol,
-        seed=seed, budget=budget, backend=backend,
+        seed=seed, budget=budget,
     )
     lifted = sol.x
     # rank-1 recovery from the dominant eigenvector of the certified lift

@@ -23,7 +23,8 @@ held as one ``(m, n, n)`` stack, the Gram matrix and every operator
 application a single contraction — and the iteration loop works in a
 preallocated :class:`~repro.kernels.workspace.SDPWorkspace`, so a sweep
 performs no Python-level allocation beyond the unavoidable LAPACK calls.
-``backend="reference"`` restores the original per-constraint loops.
+The original per-constraint loops survive as a test oracle in
+:mod:`repro.kernels.reference`.
 """
 
 from __future__ import annotations
@@ -34,12 +35,10 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError, ConvergenceError
 from repro.convex.problem import SDPProblem, Solution
-from repro.kernels.backend import resolve_backend
 from repro.kernels.gram import (
     apply_adjoint,
     apply_operator,
     gram_matrix,
-    gram_matrix_reference,
     stack_symmetric,
 )
 from repro.kernels.workspace import SDPWorkspace
@@ -56,48 +55,30 @@ class AffineSubspaceProjector:
 
     Precomputes the Gram matrix of the constraint operators so repeated
     projections inside ADMM cost a single small solve plus one matrix
-    combination.  The backend is resolved at construction time:
-    ``"vectorized"`` (default) assembles the Gram and applies the
-    operator/adjoint as stacked contractions; ``"reference"`` keeps the
-    original ``O(m^2)`` scalar loops.
+    combination; the Gram and the operator/adjoint are stacked
+    contractions over the ``(m, n, n)`` constraint stack.
     """
 
-    def __init__(self, mats: list[np.ndarray], rhs: np.ndarray,
-                 backend: Optional[str] = None):
-        self.backend = resolve_backend(backend)
-        self.mats = [symmetrize(m) for m in mats]
+    def __init__(self, mats: list[np.ndarray], rhs: np.ndarray):
+        self.stack = stack_symmetric(mats)
         self.rhs = np.asarray(rhs, dtype=np.float64).ravel()
-        self.stack = stack_symmetric(self.mats)
-        if self.backend == "reference":
-            gram = gram_matrix_reference(self.mats)
-        else:
-            gram = gram_matrix(self.stack)
-        m = len(self.mats)
+        self.m = self.stack.shape[0]
         # pseudo-inverse tolerates linearly dependent constraints
-        self._gram_pinv = np.linalg.pinv(gram) if m else np.zeros((0, 0))
+        self._gram_pinv = (np.linalg.pinv(gram_matrix(self.stack)) if self.m
+                           else np.zeros((0, 0)))
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """min ||Y - X||_F s.t. <A_i, Y> = b_i."""
-        if not self.mats:
-            return symmetrize(x)
         x = symmetrize(x)
-        if self.backend == "reference":
-            vals = np.array([np.sum(m * x) for m in self.mats])
-            lam = self._gram_pinv @ (vals - self.rhs)
-            out = x.copy()
-            for li, m in zip(lam, self.mats):
-                out -= li * m
-            return out
+        if not self.m:
+            return x
         lam = self._gram_pinv @ (apply_operator(self.stack, x) - self.rhs)
         return x - apply_adjoint(lam, self.stack)
 
     def residual(self, x: np.ndarray) -> float:
-        if not self.mats:
+        if not self.m:
             return 0.0
-        if self.backend == "reference":
-            vals = np.array([np.sum(m * x) for m in self.mats])
-        else:
-            vals = apply_operator(self.stack, np.asarray(x, dtype=np.float64))
+        vals = apply_operator(self.stack, np.asarray(x, dtype=np.float64))
         return float(np.max(np.abs(vals - self.rhs)))
 
 
@@ -106,8 +87,8 @@ class _SlackAffineProjector:
 
     Equality rows contribute their Gram entries; inequality rows carry a
     slack that adds an identity to their Gram block.  ``project_into``
-    is the allocation-free form used by the ADMM sweep — it writes into
-    the caller's :class:`~repro.kernels.workspace.SDPWorkspace` buffers.
+    is allocation-free — it writes into the caller's
+    :class:`~repro.kernels.workspace.SDPWorkspace` buffers.
     """
 
     def __init__(
@@ -116,47 +97,19 @@ class _SlackAffineProjector:
         eq_rhs: np.ndarray,
         ineq_mats: list[np.ndarray],
         ineq_rhs: np.ndarray,
-        backend: Optional[str] = None,
     ):
-        self.backend = resolve_backend(backend)
-        self.eq_mats = [symmetrize(m) for m in eq_mats]
-        self.ineq_mats = [symmetrize(m) for m in ineq_mats]
-        self.all_mats = self.eq_mats + self.ineq_mats
         self.rhs = np.concatenate(
             [np.asarray(eq_rhs, dtype=np.float64).ravel(), np.asarray(ineq_rhs, dtype=np.float64).ravel()]
         )
-        self.n_eq = len(self.eq_mats)
-        self.n_ineq = len(self.ineq_mats)
+        self.n_eq = len(eq_mats)
+        self.n_ineq = len(ineq_mats)
         k = self.n_eq + self.n_ineq
-        self.stack = stack_symmetric(self.all_mats)
-        if self.backend == "reference":
-            gram = gram_matrix_reference(self.all_mats)
-        else:
-            gram = gram_matrix(self.stack)
+        self.stack = stack_symmetric(list(eq_mats) + list(ineq_mats))
+        gram = gram_matrix(self.stack)
         # slacks add identity on the inequality block
         for j in range(self.n_eq, k):
             gram[j, j] += 1.0
         self._gram_pinv = np.linalg.pinv(gram) if k else np.zeros((0, 0))
-
-    def project(self, x: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        k = self.n_eq + self.n_ineq
-        if k == 0:
-            return symmetrize(x), s
-        x = symmetrize(x)
-        if self.backend == "reference":
-            vals = np.array([np.sum(m * x) for m in self.all_mats])
-        else:
-            vals = apply_operator(self.stack, x)
-        vals[self.n_eq:] += s
-        lam = self._gram_pinv @ (vals - self.rhs)
-        if self.backend == "reference":
-            out = x.copy()
-            for li, m in zip(lam, self.all_mats):
-                out -= li * m
-        else:
-            out = x - apply_adjoint(lam, self.stack)
-        s_out = s - lam[self.n_eq:]
-        return out, s_out
 
     def project_into(self, x_in: np.ndarray, s_in: np.ndarray,
                      ws: SDPWorkspace) -> None:
@@ -167,9 +120,6 @@ class _SlackAffineProjector:
         k = self.n_eq + self.n_ineq
         if k == 0:
             ws.s[...] = s_in
-            return
-        if self.backend == "reference":
-            ws.x[...], ws.s[...] = self.project(x_in, s_in)
             return
         apply_operator(self.stack, ws.x, out=ws.vals)
         ws.vals[self.n_eq:] += s_in
@@ -193,7 +143,6 @@ def solve_sdp_general(
     raise_on_failure: bool = False,
     strict: bool = False,
     budget: Optional[Budget] = None,
-    backend: Optional[str] = None,
     warm_start: Optional[np.ndarray] = None,
 ) -> Solution:
     """Solve ``min <C, X>`` s.t. ``<A_i,X> = b_i``, ``<B_j,X> <= d_j``,
@@ -202,11 +151,10 @@ def solve_sdp_general(
     Non-convergence follows the ``convex/`` convention: lenient by
     default; ``strict=True`` (or the older ``raise_on_failure``) raises
     :class:`ConvergenceError`.  A cooperative ``budget`` is charged one
-    unit per ADMM sweep.  ``backend`` selects the constraint-algebra
-    kernels (``None`` resolves the process-wide switch).  ``warm_start``
-    seeds both splitting blocks with a primal matrix ``X0`` (``(n, n)``,
-    e.g. a failed faster rung's best iterate); mismatched shapes are
-    ignored so ladders can hand down whatever they have.
+    unit per ADMM sweep.  ``warm_start`` seeds both splitting blocks
+    with a primal matrix ``X0`` (``(n, n)``, e.g. a failed faster rung's
+    best iterate); mismatched shapes are ignored so ladders can hand
+    down whatever they have.
     """
     if rho <= 0.0:
         raise ConfigurationError("ADMM penalty rho must be positive")
@@ -217,7 +165,6 @@ def solve_sdp_general(
     ineq_rhs = np.zeros(len(ineq_mats)) if ineq_rhs is None else np.asarray(ineq_rhs, dtype=np.float64).ravel()
     projector = _SlackAffineProjector(
         eq_mats, np.asarray(eq_rhs, dtype=np.float64).ravel(), ineq_mats, ineq_rhs,
-        backend=backend,
     )
     m_ineq = len(ineq_mats)
 
@@ -288,7 +235,6 @@ def solve_sdp(
     raise_on_failure: bool = False,
     strict: bool = False,
     budget: Optional[Budget] = None,
-    backend: Optional[str] = None,
     warm_start: Optional[np.ndarray] = None,
 ) -> Solution:
     """Solve a standard-form (equality-constrained) :class:`SDPProblem`."""
@@ -301,6 +247,5 @@ def solve_sdp(
         tol=tol,
         strict=strict or raise_on_failure,
         budget=budget,
-        backend=backend,
         warm_start=warm_start,
     )

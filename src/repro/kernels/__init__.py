@@ -18,33 +18,19 @@ contractions:
 * :mod:`repro.kernels.workspace` — preallocated ADMM buffers so the
   iteration loops are allocation-free.
 
-Every kernel keeps its reference implementation importable, and consumers
-select between them with the :mod:`repro.kernels.backend` switch
-(``backend="vectorized"`` is the default; ``backend="reference"``
-restores the original loops for equivalence testing and benchmarking).
+Each kernel has one implementation, and every consumer calls it
+directly.  The original loops survive only as test oracles in
+:mod:`repro.kernels.reference`, which this package does not import.
 """
 
-from repro.kernels.backend import (
-    BACKENDS,
-    get_backend,
-    resolve_backend,
-    set_backend,
-    use_backend,
-)
 from repro.kernels.gram import (
     apply_adjoint,
     apply_adjoint_batch,
-    apply_adjoint_batch_reference,
-    apply_adjoint_reference,
     apply_operator,
     apply_operator_batch,
-    apply_operator_batch_reference,
-    apply_operator_reference,
     gram_matrix,
-    gram_matrix_reference,
     outer_product_batch,
     quad_gradient_batch,
-    quad_gradient_batch_reference,
     quad_value_batch,
     stack_symmetric,
 )
@@ -62,58 +48,39 @@ from repro.kernels.propagation import (
 from repro.kernels.swarm import (
     build_decode_table,
     decode_indices_batch,
-    decode_indices_reference,
     reflect_box,
-    reflect_box_reference,
     sample_distribution_swarm,
-    sample_distribution_swarm_reference,
     velocity_update,
-    velocity_update_reference,
 )
 from repro.kernels.workspace import ConsensusWorkspace, SDPWorkspace
 from repro.linalg.psd import project_psd_batch, symmetrize_batch
 
 __all__ = [
     "AffineStage",
-    "BACKENDS",
     "ConsensusWorkspace",
     "SDPWorkspace",
     "apply_adjoint",
     "apply_adjoint_batch",
-    "apply_adjoint_batch_reference",
-    "apply_adjoint_reference",
     "apply_operator",
     "apply_operator_batch",
-    "apply_operator_batch_reference",
-    "apply_operator_reference",
     "build_decode_table",
     "crown_ibp_margin_batch",
     "crown_margin_batch",
     "crown_margin_fast",
     "crown_preactivation_fast",
     "decode_indices_batch",
-    "decode_indices_reference",
     "extract_affine_stages",
-    "get_backend",
     "gram_matrix",
     "project_psd_batch",
-    "gram_matrix_reference",
     "ibp_margin_batch",
     "outer_product_batch",
     "propagate_box_batch",
     "quad_gradient_batch",
-    "quad_gradient_batch_reference",
     "quad_value_batch",
     "reflect_box",
-    "reflect_box_reference",
     "relu_relaxation_arrays",
-    "resolve_backend",
     "sample_distribution_swarm",
-    "sample_distribution_swarm_reference",
-    "set_backend",
     "stack_symmetric",
     "symmetrize_batch",
-    "use_backend",
     "velocity_update",
-    "velocity_update_reference",
 ]

@@ -3,9 +3,10 @@
 The ADMM SDP solver (paper Eqs. 8–10) spends its inner loop applying the
 constraint operator ``A : X -> (<A_i, X>)_i`` and its adjoint
 ``A^* : lam -> sum_i lam_i A_i``, and its setup assembling the Gram
-matrix ``G_ij = <A_i, A_j>``.  The reference implementation walks the
-constraint list in Python — ``O(m^2)`` matrix products for the Gram and
-``O(m)`` per projection.  These kernels hold the constraints as one
+matrix ``G_ij = <A_i, A_j>``.  The reference loops
+(:mod:`repro.kernels.reference`) walk the constraint list in Python —
+``O(m^2)`` matrix products for the Gram and ``O(m)`` per projection.
+These kernels hold the constraints as one
 ``(m, n, n)`` stack and express every operation as a single ``einsum``
 contraction, which is the whole-batch BLAS-backed form.
 
@@ -19,23 +20,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.linalg.matrix_utils import frobenius_inner
 from repro.linalg.psd import symmetrize
 
 __all__ = [
     "stack_symmetric",
     "gram_matrix",
-    "gram_matrix_reference",
     "apply_operator",
-    "apply_operator_reference",
     "apply_adjoint",
-    "apply_adjoint_reference",
     "apply_operator_batch",
-    "apply_operator_batch_reference",
     "apply_adjoint_batch",
-    "apply_adjoint_batch_reference",
     "quad_gradient_batch",
-    "quad_gradient_batch_reference",
     "quad_value_batch",
     "outer_product_batch",
 ]
@@ -65,43 +59,16 @@ def gram_matrix(stack: np.ndarray) -> np.ndarray:
     return flat @ flat.T
 
 
-def gram_matrix_reference(mats: Sequence[np.ndarray]) -> np.ndarray:
-    """The original scalar Gram assembly — the equivalence baseline."""
-    m = len(mats)
-    gram = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            gram[i, j] = gram[j, i] = frobenius_inner(mats[i], mats[j])
-    return gram
-
-
 def apply_operator(stack: np.ndarray, x: np.ndarray,
                    out: Optional[np.ndarray] = None) -> np.ndarray:
     """Constraint operator ``(<A_i, X>)_i`` as one contraction."""
     return np.einsum("kij,ij->k", stack, x, out=out)
 
 
-def apply_operator_reference(mats: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
-    """Per-constraint loop form of :func:`apply_operator`."""
-    return np.array([np.sum(m * x) for m in mats]) if len(mats) else np.zeros(0)
-
-
 def apply_adjoint(coeffs: np.ndarray, stack: np.ndarray,
                   out: Optional[np.ndarray] = None) -> np.ndarray:
     """Adjoint ``sum_k coeffs_k A_k`` as one contraction."""
     return np.einsum("k,kij->ij", coeffs, stack, out=out)
-
-
-def apply_adjoint_reference(coeffs: np.ndarray,
-                            mats: Sequence[np.ndarray]) -> np.ndarray:
-    """Accumulation-loop form of :func:`apply_adjoint`."""
-    mats = list(mats)
-    if not mats:
-        raise ValueError("apply_adjoint_reference needs at least one matrix")
-    out = np.zeros_like(np.asarray(mats[0], dtype=np.float64))
-    for c, m in zip(coeffs, mats):
-        out += c * m
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -125,31 +92,10 @@ def apply_operator_batch(stacks: np.ndarray, x: np.ndarray,
     return np.einsum("bkij,bij->bk", stacks, x, out=out)
 
 
-def apply_operator_batch_reference(stacks: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Per-problem/per-constraint loop form of :func:`apply_operator_batch`."""
-    stacks = np.asarray(stacks, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    b, k = stacks.shape[0], stacks.shape[1]
-    out = np.zeros((b, k))
-    for bi in range(b):
-        out[bi] = apply_operator(stacks[bi], x[bi])
-    return out
-
-
 def apply_adjoint_batch(coeffs: np.ndarray, stacks: np.ndarray,
                         out: Optional[np.ndarray] = None) -> np.ndarray:
     """Per-problem adjoint ``sum_k coeffs_bk A_bk`` — ``(B, n, n)``."""
     return np.einsum("bk,bkij->bij", coeffs, stacks, out=out)
-
-
-def apply_adjoint_batch_reference(coeffs: np.ndarray, stacks: np.ndarray) -> np.ndarray:
-    """Per-problem loop form of :func:`apply_adjoint_batch`."""
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    stacks = np.asarray(stacks, dtype=np.float64)
-    out = np.zeros((stacks.shape[0], stacks.shape[2], stacks.shape[3]))
-    for bi in range(stacks.shape[0]):
-        out[bi] = apply_adjoint(coeffs[bi], stacks[bi])
-    return out
 
 
 def quad_gradient_batch(p: np.ndarray, x: np.ndarray, q: np.ndarray,
@@ -157,18 +103,6 @@ def quad_gradient_batch(p: np.ndarray, x: np.ndarray, q: np.ndarray,
     """Batched quadratic-form gradient ``P_b x_b + q_b`` — ``(B, n)``."""
     out = np.einsum("bij,bj->bi", p, x, out=out)
     out += q
-    return out
-
-
-def quad_gradient_batch_reference(p: np.ndarray, x: np.ndarray,
-                                  q: np.ndarray) -> np.ndarray:
-    """Per-problem loop form of :func:`quad_gradient_batch`."""
-    p = np.asarray(p, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    out = np.zeros_like(q)
-    for bi in range(p.shape[0]):
-        out[bi] = np.einsum("ij,j->i", p[bi], x[bi]) + q[bi]
     return out
 
 

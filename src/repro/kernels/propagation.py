@@ -23,7 +23,7 @@ the kernel layer depends only on :mod:`repro.nn`.
 Floating-point note: matrix-matrix contractions round differently from
 the reference matrix-vector loops, so batched results agree with the
 reference to tight tolerances (~1e-9 relative), not bit-for-bit; the
-``backend="reference"`` paths retain the old bit patterns.
+oracles in :mod:`repro.kernels.reference` retain the old bit patterns.
 """
 
 from __future__ import annotations

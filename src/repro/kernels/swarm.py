@@ -11,90 +11,51 @@ consumes the PCG64 stream in the same order as the nested scalar
 ``rng.choice`` calls, and ``searchsorted`` on the row-wise CDF
 reproduces ``Generator.choice(c, p=...)`` decision-for-decision.
 
-Reference implementations (per-particle Python loops) stay available for
-the equivalence suite and the speedup benchmark.
+The per-particle loops these kernels replaced live in
+:mod:`repro.kernels.reference`, where the equivalence suite and the
+speedup benchmark use them as oracles.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.kernels.backend import resolve_backend
-
 __all__ = [
     "velocity_update",
-    "velocity_update_reference",
     "reflect_box",
-    "reflect_box_reference",
     "decode_indices_batch",
-    "decode_indices_reference",
     "build_decode_table",
     "sample_distribution_swarm",
-    "sample_distribution_swarm_reference",
 ]
 
 
 def velocity_update(v: np.ndarray, x: np.ndarray, pbest: np.ndarray,
                     social: np.ndarray, w: np.ndarray,
                     beta1: np.ndarray, beta2: np.ndarray,
-                    alpha1: float, alpha2: float,
-                    backend: Optional[str] = None) -> np.ndarray:
+                    alpha1: float, alpha2: float) -> np.ndarray:
     """Eq. 2 for the whole swarm:
     ``v' = w v + a1 b1 (pbest - x) + a2 b2 (social - x)``.
 
     ``w`` is ``(n, 1)`` (per-particle inertia); everything else is
-    ``(n, d)``.  Elementwise, so backends agree bit-for-bit.
+    ``(n, d)``.  Elementwise, so it matches the per-particle loop
+    bit-for-bit.
     """
-    if resolve_backend(backend) == "reference":
-        return velocity_update_reference(v, x, pbest, social, w, beta1, beta2,
-                                         alpha1, alpha2)
     return (w * v
             + alpha1 * beta1 * (pbest - x)
             + alpha2 * beta2 * (social - x))
 
 
-def velocity_update_reference(v: np.ndarray, x: np.ndarray, pbest: np.ndarray,
-                              social: np.ndarray, w: np.ndarray,
-                              beta1: np.ndarray, beta2: np.ndarray,
-                              alpha1: float, alpha2: float) -> np.ndarray:
-    """Per-particle loop form of Eq. 2 — the equivalence baseline."""
-    out = np.empty_like(v)
-    for i in range(v.shape[0]):
-        out[i] = (w[i] * v[i]
-                  + alpha1 * beta1[i] * (pbest[i] - x[i])
-                  + alpha2 * beta2[i] * (social[i] - x[i]))
-    return out
-
-
-def reflect_box(x: np.ndarray, v: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                backend: Optional[str] = None) -> Tuple[np.ndarray, np.ndarray]:
+def reflect_box(x: np.ndarray, v: np.ndarray, lo: np.ndarray,
+                hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Eq. 1 wall handling: clamp positions to the box and zero the
     offending velocity components.  Returns ``(x, v)``."""
-    if resolve_backend(backend) == "reference":
-        return reflect_box_reference(x, v, lo, hi)
     below = x < lo
     above = x > hi
     x = np.where(below, lo, x)
     x = np.where(above, hi, x)
     v = np.where(below | above, 0.0, v)
-    return x, v
-
-
-def reflect_box_reference(x: np.ndarray, v: np.ndarray, lo: np.ndarray,
-                          hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-particle loop form of the wall reflection."""
-    x = x.copy()
-    v = v.copy()
-    for i in range(x.shape[0]):
-        for j in range(x.shape[1]):
-            if x[i, j] < lo[j]:
-                x[i, j] = lo[j]
-                v[i, j] = 0.0
-            elif x[i, j] > hi[j]:
-                x[i, j] = hi[j]
-                v[i, j] = 0.0
     return x, v
 
 
@@ -117,17 +78,8 @@ def decode_indices_batch(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return table[np.arange(table.shape[0])[None, :], idx]
 
 
-def decode_indices_reference(values: Sequence[Sequence[float]],
-                             idx: np.ndarray) -> np.ndarray:
-    """Row-at-a-time decode — the equivalence baseline."""
-    return np.array([
-        [values[j][int(i)] for j, i in enumerate(row)] for row in idx
-    ], dtype=np.float64)
-
-
 def sample_distribution_swarm(logits: List[np.ndarray], samples: int,
-                              rng: np.random.Generator,
-                              backend: Optional[str] = None) -> np.ndarray:
+                              rng: np.random.Generator) -> np.ndarray:
     """Sample ``(n, samples, d)`` coordinate indices from per-particle
     categorical distributions (distribution-based discrete PSO).
 
@@ -136,10 +88,8 @@ def sample_distribution_swarm(logits: List[np.ndarray], samples: int,
     the identical PCG64 stream the reference's nested
     ``rng.choice(c, p=softmax(z))`` calls consume — and reproduces
     ``Generator.choice``'s CDF inversion exactly, so seeded trajectories
-    are bit-identical across backends.
+    match the nested loop bit-for-bit.
     """
-    if resolve_backend(backend) == "reference":
-        return sample_distribution_swarm_reference(logits, samples, rng)
     n = logits[0].shape[0] if logits else 0
     d = len(logits)
     u = rng.random((n, samples, d))
@@ -154,22 +104,4 @@ def sample_distribution_swarm(logits: List[np.ndarray], samples: int,
         # searchsorted(cdf, u, side='right'); clip is defensive only
         counts = np.sum(cdf[:, None, :] <= u[:, :, j, None], axis=2)
         idx[:, :, j] = np.minimum(counts, block.shape[1] - 1)
-    return idx
-
-
-def sample_distribution_swarm_reference(logits: List[np.ndarray], samples: int,
-                                        rng: np.random.Generator) -> np.ndarray:
-    """The original nested sampling loops (particle → sample → coordinate),
-    one ``rng.choice`` per coordinate — the equivalence baseline."""
-    n = logits[0].shape[0] if logits else 0
-    d = len(logits)
-    idx = np.zeros((n, samples, d), dtype=np.intp)
-    for i in range(n):
-        for s in range(samples):
-            for j, block in enumerate(logits):
-                z = block[i]
-                z = z - z.max()
-                p = np.exp(z)
-                p /= p.sum()  # numlint: disable=NL002 -- max-shifted logits: one term is exp(0)=1, so the sum is >= 1
-                idx[i, s, j] = rng.choice(block.shape[1], p=p)
     return idx

@@ -285,8 +285,8 @@ class DistributionDiscretePSO:
         n = self.config.swarm_size
         # sample every candidate first (the whole-swarm kernel consumes
         # the RNG stream in the exact order of the sequential
-        # formulation, so seeded runs are bit-identical on both
-        # backends), then fan the pure objective calls out
+        # formulation, so seeded runs are bit-identical to it), then fan
+        # the pure objective calls out
         idx3 = sample_distribution_swarm(self.logits, self.samples, self.rng)
         sampled = [[idx3[i, s] for s in range(self.samples)]
                    for i in range(n)]

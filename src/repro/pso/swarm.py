@@ -161,8 +161,9 @@ class ParticleSwarm:
         personal/global best bookkeeping.
 
         The arithmetic runs on the whole-swarm kernels of
-        :mod:`repro.kernels.swarm`; both backends are bit-identical, so a
-        seeded trajectory never depends on the backend switch."""
+        :mod:`repro.kernels.swarm`, which are bit-identical to the
+        per-particle loops, so a seeded trajectory is the one Eqs. 1–2
+        define."""
         cfg = self.config
         n, d = cfg.swarm_size, self.dim
         w = self.inertia.weights(self._context(generation))[:, None]

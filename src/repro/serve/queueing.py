@@ -67,11 +67,10 @@ class Admission:
 
 @dataclass
 class QueueStats:
-    """Monotone counters, by class, for shed-policy assertions."""
+    """Monotone UE counters, by class: what was offered, and what was
+    shed, split by reason (``depth`` eviction or ``age`` expiry)."""
 
     offered: Dict[ServiceClass, int] = field(default_factory=dict)
-    admitted: Dict[ServiceClass, int] = field(default_factory=dict)
-    served: Dict[ServiceClass, int] = field(default_factory=dict)
     shed_depth: Dict[ServiceClass, int] = field(default_factory=dict)
     shed_age: Dict[ServiceClass, int] = field(default_factory=dict)
 
@@ -87,19 +86,6 @@ class QueueStats:
         if offered == 0:
             return 0.0
         return self.shed_ues(svc) / offered
-
-    def to_dict(self) -> dict:
-        def render(table: Dict[ServiceClass, int]) -> dict:
-            return {svc.value: table.get(svc, 0) for svc in SERVE_ORDER}
-
-        return {
-            "offered": render(self.offered),
-            "admitted": render(self.admitted),
-            "served": render(self.served),
-            "shed_depth": render(self.shed_depth),
-            "shed_age": render(self.shed_age),
-            "shed_rate": {svc.value: self.shed_rate(svc) for svc in SERVE_ORDER},
-        }
 
 
 class AdmissionQueue:
@@ -175,7 +161,6 @@ class AdmissionQueue:
             self._shed(victim, "depth")
             shed.append(victim)
         self._lanes[request.service].append(request)
-        QueueStats._bump(self.stats.admitted, request.service, request.n_ues)
         return Admission(ADMITTED, shed)
 
     def expire(self, now_s: float) -> List[FrameRequest]:
@@ -213,9 +198,7 @@ class AdmissionQueue:
         for svc in SERVE_ORDER:
             lane = self._lanes[svc]
             while lane and len(out) < k:
-                r = lane.pop(0)
-                QueueStats._bump(self.stats.served, r.service, r.n_ues)
-                out.append(r)
+                out.append(lane.pop(0))
             if len(out) >= k:
                 break
         return out

@@ -17,12 +17,11 @@ a tighter method instead of serving a gratuitously weak bound.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.exceptions import CertificationError
-from repro.kernels.backend import resolve_backend
 from repro.nn.network import Sequential
 from repro.obs import current_span, profiled, record_solver_outcome
 from repro.resilience.budget import Budget
@@ -30,17 +29,6 @@ from repro.verify.interval import ibp_margin_lower_bound
 from repro.verify.lp_relax import build_margin_lp
 
 __all__ = ["firstorder_margin_lower_bound"]
-
-
-def _matvec(backend: Optional[str]) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Dense mat-vec on the active kernels backend.
-
-    ``vectorized`` uses BLAS ``@``; ``reference`` pins a fixed-order
-    einsum accumulation, the backend pair the cross-backend goldens pin.
-    """
-    if resolve_backend(backend) == "vectorized":
-        return lambda m, x: m @ x
-    return lambda m, x: np.einsum("ij,j->i", m, x, optimize=False)
 
 
 @profiled("verify.firstorder_lp")
@@ -55,7 +43,6 @@ def firstorder_margin_lower_bound(
     patience: int = 60,
     cert_slack: float = 1e-6,
     budget: Optional[Budget] = None,
-    backend: Optional[str] = None,
 ) -> float:
     """Sound lower bound on ``min over ball of c^T f(x) + d`` by
     projected supergradient ascent on the triangle-LP dual.
@@ -79,7 +66,6 @@ def firstorder_margin_lower_bound(
     c = np.asarray(c, dtype=np.float64).ravel()
     lp = build_margin_lp(net, x0, eps, c, bounds_method=bounds_method,
                          tight_boxes=True)
-    mv = _matvec(backend)
 
     a, b = lp.a, lp.b
     g = lp.g if lp.g is not None else np.zeros((0, lp.c.size))
@@ -96,7 +82,7 @@ def firstorder_margin_lower_bound(
     for it in range(1, max_iter + 1):
         if budget is not None:
             budget.spend(1, context="firstorder_lp")
-        r = cvec + mv(at, y) + mv(gt, z)
+        r = cvec + at @ y + gt @ z
         v = np.where(r > 0.0, lo, np.where(r < 0.0, hi, mid))
         gval = float(r @ v) - float(y @ b) - float(z @ h)
         if not np.isfinite(best) or gval > best + 1e-12 * (1.0 + abs(best)):
@@ -106,8 +92,8 @@ def firstorder_margin_lower_bound(
             stall += 1
             if stall >= patience:
                 break
-        gy = mv(a, v) - b
-        gz = mv(g, v) - h
+        gy = a @ v - b
+        gz = g @ v - h
         norm = float(np.sqrt(gy @ gy + gz @ gz))
         step = 1.0 / max(norm * np.sqrt(it), 1e-12)
         y = y + step * gy

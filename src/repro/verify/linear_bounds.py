@@ -18,12 +18,11 @@ Two modes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.exceptions import VerificationError
-from repro.kernels.backend import resolve_backend
 from repro.kernels.propagation import crown_preactivation_fast
 from repro.nn.layers import Dense, LeakyReLU, ReLU
 from repro.nn.network import Sequential
@@ -179,49 +178,28 @@ def crown_input_linear_form(
 
 def crown_preactivation_bounds(
     net: Sequential, x0: np.ndarray, eps: float, method: str = "crown",
-    backend: Optional[str] = None,
 ) -> List[Tuple[np.ndarray, np.ndarray]]:
     """Pre-activation bounds for every stage.
 
     ``method='crown-ibp'`` reads them off interval propagation;
     ``method='crown'`` recomputes each layer's box with backward linear
-    bounding (tighter, quadratically more expensive).  For the latter,
-    the default ``backend="vectorized"`` bounds all neurons of a layer
-    in one ``[I; -I]`` matrix backward pass
-    (:func:`repro.kernels.propagation.crown_preactivation_fast`);
-    ``backend="reference"`` keeps the original per-neuron recursion.
+    bounding (tighter, quadratically more expensive), bounding all
+    neurons of a layer in one ``[I; -I]`` matrix backward pass
+    (:func:`repro.kernels.propagation.crown_preactivation_fast`).
     """
     x0 = np.asarray(x0, dtype=np.float64).ravel()
     x_lo, x_hi = x0 - eps, x0 + eps
-    stages = extract_affine_relu_stack(net)
+    extract_affine_relu_stack(net)  # validates the layout for both methods
     if method not in ("crown", "crown-ibp"):
         raise VerificationError(f"unknown CROWN method {method!r}")
-
-    if method == "crown" and resolve_backend(backend) == "vectorized":
+    if method == "crown":
         return crown_preactivation_fast(net, x_lo, x_hi)
 
-    if method == "crown-ibp":
-        all_bounds = propagate_intervals(net, LayerBounds(x_lo, x_hi))
-        # map: pre-activation of stage k is the output of its Dense layer
-        pre: List[Tuple[np.ndarray, np.ndarray]] = []
-        idx = 0
-        for layer_bounds, layer in zip(all_bounds[1:], net.layers):
-            if isinstance(layer, Dense):
-                pre.append((layer_bounds.lower, layer_bounds.upper))
-        return pre
-
-    pre = []
-    for k, stage in enumerate(stages):
-        n_out = stage.b.size
-        lo = np.empty(n_out)
-        hi = np.empty(n_out)
-        for j in range(n_out):
-            e = np.zeros(n_out)
-            e[j] = 1.0
-            lo[j] = _backward_bound(stages, pre, k, e, 0.0, x_lo, x_hi)
-            hi[j] = -_backward_bound(stages, pre, k, -e, 0.0, x_lo, x_hi)
-        pre.append((lo, hi))
-    return pre
+    all_bounds = propagate_intervals(net, LayerBounds(x_lo, x_hi))
+    # map: pre-activation of stage k is the output of its Dense layer
+    return [(layer_bounds.lower, layer_bounds.upper)
+            for layer_bounds, layer in zip(all_bounds[1:], net.layers)
+            if isinstance(layer, Dense)]
 
 
 def crown_margin_lower_bound(

@@ -19,7 +19,6 @@ import numpy as np
 
 from repro.exceptions import NumericalInstabilityError, VerificationError
 from repro.convex.relaxation import RelaxationGrade
-from repro.kernels.backend import resolve_backend
 from repro.kernels.propagation import (
     crown_ibp_margin_batch,
     crown_margin_batch,
@@ -269,19 +268,14 @@ def verify_resilient(
 
 
 def verification_fingerprint(net: Sequential, spec: RobustnessSpec,
-                             method: str, max_nodes: int = 20000,
-                             backend: Optional[str] = None) -> str:
+                             method: str, max_nodes: int = 20000) -> str:
     """Content-addressed key of one verification query.
 
-    Hashes the exact bytes of every network parameter plus the spec,
-    method, and the *resolved kernels backend*, so two queries share a
-    key only when the relaxation they induce is bit-identical — a single
-    perturbed weight misses, and a cached ``vectorized`` margin is never
-    served to a ``reference`` run (their float accumulation orders, and
-    hence exact bit patterns, differ).
+    Hashes the exact bytes of every network parameter plus the spec and
+    method, so two queries share a key only when the relaxation they
+    induce is bit-identical — a single perturbed weight misses.
     """
-    return fingerprint(net.params(), spec, method, int(max_nodes),
-                       resolve_backend(backend))
+    return fingerprint(net.params(), spec, method, int(max_nodes))
 
 
 def _verify_task(task) -> VerificationResult:
@@ -339,19 +333,17 @@ def verify_batch(
     cache: Optional[RelaxationCache] = None,
     budget=None,
     chunk_size: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> List[VerificationResult]:
     """Verify a whole spec list with one method, fanned out and memoized.
 
     Results are returned in spec order, with sound verdicts equal (and
     margins equal to floating-point round-off) to calling :func:`verify`
-    in a loop, on every backend.  For the relaxed propagation methods in
-    :data:`FAST_BATCH_METHODS` the default ``backend="vectorized"``
-    answers whole chunks with one batched
+    in a loop.  The relaxed propagation methods in
+    :data:`FAST_BATCH_METHODS` answer whole chunks with one batched
     :mod:`repro.kernels.propagation` sweep — chunk boundaries depend only
     on ``chunk_size`` (default: one chunk), never on the executor, so
     results are bit-identical across serial/thread/process backends;
-    ``backend="reference"`` restores the per-spec workers.  With a
+    every other method fans out one spec per task.  With a
     :class:`~repro.parallel.RelaxationCache`, queries whose fingerprint
     was already solved — earlier in this batch or in a previous one — are
     answered from the cache; only the unique misses are dispatched.  The
@@ -359,13 +351,11 @@ def verify_batch(
     process backend.
     """
     specs = list(specs)
-    fast = (resolve_backend(backend) == "vectorized"
-            and method in FAST_BATCH_METHODS)
 
     def dispatch(todo: List[RobustnessSpec]) -> List[VerificationResult]:
         if not todo:
             return []
-        if fast:
+        if method in FAST_BATCH_METHODS:
             size = len(todo) if chunk_size is None else max(1, chunk_size)
             chunks = [todo[i:i + size] for i in range(0, len(todo), size)]
             grouped = map_solve(
@@ -381,8 +371,7 @@ def verify_batch(
         return dispatch(specs)
     # fingerprint once per unique query; dispatch only the misses
     results: List[Optional[VerificationResult]] = [None] * len(specs)
-    keys = [verification_fingerprint(net, s, method, max_nodes, backend=backend)
-            for s in specs]
+    keys = [verification_fingerprint(net, s, method, max_nodes) for s in specs]
     pending: "OrderedDict[str, List[int]]" = OrderedDict()
     for i, key in enumerate(keys):
         hit = cache.get(key)

@@ -1,9 +1,9 @@
 """Seeded equivalence suite for the vectorized kernel layer.
 
-Every kernel in ``repro.kernels`` ships with its reference (Python-loop)
-implementation; these property-style tests drive both over randomized
-seeded workloads and degenerate shapes and pin down the equivalence
-contract:
+Every kernel in ``repro.kernels`` has a reference (Python-loop) oracle
+in ``repro.kernels.reference``; these property-style tests drive both
+over randomized seeded workloads and degenerate shapes and pin down the
+equivalence contract:
 
 * elementwise swarm kernels and the RNG-replaying sampler are
   **bit-identical** (``np.array_equal``, equal generator state);
@@ -16,31 +16,41 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.pso.discrete
+import repro.verify.linear_bounds
+from repro.convex.sdp import AffineSubspaceProjector
 from repro.exceptions import DimensionError
 from repro.kernels import (
     apply_adjoint,
-    apply_adjoint_reference,
+    apply_adjoint_batch,
     apply_operator,
-    apply_operator_reference,
+    apply_operator_batch,
     build_decode_table,
     crown_ibp_margin_batch,
     crown_margin_batch,
     decode_indices_batch,
-    decode_indices_reference,
-    get_backend,
     gram_matrix,
-    gram_matrix_reference,
     ibp_margin_batch,
     project_psd_batch,
     propagate_box_batch,
+    quad_gradient_batch,
     reflect_box,
-    reflect_box_reference,
     sample_distribution_swarm,
-    sample_distribution_swarm_reference,
-    set_backend,
     stack_symmetric,
-    use_backend,
     velocity_update,
+)
+from repro.kernels.reference import (
+    affine_projection_reference,
+    apply_adjoint_batch_reference,
+    apply_adjoint_reference,
+    apply_operator_batch_reference,
+    apply_operator_reference,
+    crown_preactivation_reference,
+    decode_indices_reference,
+    gram_matrix_reference,
+    quad_gradient_batch_reference,
+    reflect_box_reference,
+    sample_distribution_swarm_reference,
     velocity_update_reference,
 )
 from repro.linalg.matrix_utils import frobenius_inner
@@ -61,27 +71,6 @@ SEEDS = [0, 7, 123]
 def _sym(rng, n):
     a = rng.standard_normal((n, n))
     return 0.5 * (a + a.T)
-
-
-# ---------------------------------------------------------------------------
-# backend switch
-# ---------------------------------------------------------------------------
-
-class TestBackendSwitch:
-    def test_default_is_vectorized(self):
-        assert get_backend() == "vectorized"
-
-    def test_context_manager_restores(self):
-        with use_backend("reference"):
-            assert get_backend() == "reference"
-            with use_backend("vectorized"):
-                assert get_backend() == "vectorized"
-            assert get_backend() == "reference"
-        assert get_backend() == "vectorized"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(Exception):
-            set_backend("numba")
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +102,37 @@ class TestGramKernels:
         np.testing.assert_allclose(apply_adjoint(coeffs, stack),
                                    apply_adjoint_reference(coeffs, mats),
                                    rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_batched_forms_match_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        b, k, n = 4, 3, 5
+        stacks = np.stack([stack_symmetric([_sym(rng, n) for _ in range(k)])
+                           for _ in range(b)])
+        x = np.stack([_sym(rng, n) for _ in range(b)])
+        coeffs = rng.standard_normal((b, k))
+        np.testing.assert_allclose(apply_operator_batch(stacks, x),
+                                   apply_operator_batch_reference(stacks, x),
+                                   rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(apply_adjoint_batch(coeffs, stacks),
+                                   apply_adjoint_batch_reference(coeffs, stacks),
+                                   rtol=0.0, atol=1e-12)
+        p = stacks[:, 0]
+        v, q = rng.standard_normal((b, n)), rng.standard_normal((b, n))
+        np.testing.assert_allclose(quad_gradient_batch(p, v, q),
+                                   quad_gradient_batch_reference(p, v, q),
+                                   rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("m", [0, 1, 6])
+    def test_affine_projection_matches_reference(self, seed, m):
+        rng = np.random.default_rng(seed)
+        mats = [rng.standard_normal((4, 4)) for _ in range(m)]
+        rhs = rng.standard_normal(m)
+        x = rng.standard_normal((4, 4))
+        fast = AffineSubspaceProjector(mats, rhs).project(x)
+        np.testing.assert_allclose(fast, affine_projection_reference(mats, rhs, x),
+                                   rtol=0.0, atol=1e-10)
 
     def test_operator_out_buffer(self):
         rng = np.random.default_rng(0)
@@ -199,17 +219,21 @@ class TestPropagationKernels:
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("method", ["crown", "crown-ibp"])
-    def test_crown_batch_matches_reference(self, seed, method):
+    def test_crown_batch_matches_reference(self, seed, method, monkeypatch):
         net = _random_relu_net(seed)
         x0, eps, c, d = _random_specs(seed, 5, 4, 3)
         if method == "crown":
             fast = crown_margin_batch(net, x0, eps, c, d)
         else:
             fast = crown_ibp_margin_batch(net, x0, eps, c, d)
-        with use_backend("reference"):
-            ref = [crown_margin_lower_bound(net, x0[i], float(eps[i]), c[i],
-                                            float(d[i]), method=method)
-                   for i in range(5)]
+        # the per-spec verifier, with the per-neuron CROWN recursion in
+        # place of the matrix-form kernel
+        monkeypatch.setattr(repro.verify.linear_bounds,
+                            "crown_preactivation_fast",
+                            crown_preactivation_reference)
+        ref = [crown_margin_lower_bound(net, x0[i], float(eps[i]), c[i],
+                                        float(d[i]), method=method)
+               for i in range(5)]
         np.testing.assert_allclose(fast, ref, rtol=0.0, atol=1e-8)
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -218,8 +242,7 @@ class TestPropagationKernels:
         rng = np.random.default_rng(seed + 2)
         x0 = rng.standard_normal(4)
         fast = crown_preactivation_bounds(net, x0, 0.2, method="crown")
-        ref = crown_preactivation_bounds(net, x0, 0.2, method="crown",
-                                         backend="reference")
+        ref = crown_preactivation_reference(net, x0 - 0.2, x0 + 0.2)
         assert len(fast) == len(ref)
         for (flo, fhi), (rlo, rhi) in zip(fast, ref):
             np.testing.assert_allclose(flo, rlo, rtol=0.0, atol=1e-9)
@@ -305,7 +328,7 @@ class TestSwarmKernelsBitIdentical:
         assert out.shape == (0, 3, 0)
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_distribution_pso_trajectory_bit_identical(self, seed):
+    def test_distribution_pso_trajectory_bit_identical(self, seed, monkeypatch):
         """Full end-to-end run: the vectorized sampler must not perturb a
         seeded trajectory by even one ulp."""
         space = DiscreteSpace(tuple(tuple(range(5)) for _ in range(3)))
@@ -318,8 +341,9 @@ class TestSwarmKernelsBitIdentical:
             return opt._run()
 
         fast = run()
-        with use_backend("reference"):
-            ref = run()
+        monkeypatch.setattr(repro.pso.discrete, "sample_distribution_swarm",
+                            sample_distribution_swarm_reference)
+        ref = run()
         assert fast.history == ref.history
         assert fast.best_value == ref.best_value
         assert np.array_equal(fast.best_x, ref.best_x)

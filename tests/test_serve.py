@@ -9,6 +9,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError
 from repro.obs import Telemetry
@@ -34,7 +36,7 @@ from repro.serve import (
     ShardConfig,
     solve_shard_task,
 )
-from repro.serve.queueing import ADMITTED, SHED
+from repro.serve.queueing import ADMITTED, SHED, SHED_ORDER
 
 pytestmark = pytest.mark.serve
 
@@ -112,6 +114,60 @@ class TestAdmissionQueue:
             AdmissionQueue(cell=0, max_depth=0)
         with pytest.raises(ConfigurationError):
             AdmissionQueue(cell=0, max_age_s=0.0)
+
+
+_QUEUE_OPS = st.lists(st.one_of(
+    # offer one request of `n_ues`, then advance the clock by `dt`
+    st.tuples(st.just("offer"), st.sampled_from(SHED_ORDER),
+              st.integers(1, 40), st.floats(0.0, 0.5)),
+    st.tuples(st.just("take"), st.integers(0, 4)),
+    # a dropped frame hands back the oldest `k` taken requests
+    st.tuples(st.just("requeue"), st.integers(0, 4)),
+    st.tuples(st.just("expire")),
+), max_size=60)
+
+
+def _queued_ues(q, svc):
+    return sum(r.n_ues for r in q._lanes[svc])
+
+
+class TestAdmissionQueueProperties:
+    """Random ``offer``/``take``/``requeue``/``expire`` sequences."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(max_depth=st.integers(1, 6), ops=_QUEUE_OPS)
+    def test_shed_policy_and_conservation(self, max_depth, ops):
+        q = AdmissionQueue(cell=0, max_depth=max_depth, max_age_s=1.0)
+        now = 0.0
+        in_flight = []
+        taken = {svc: 0 for svc in SHED_ORDER}
+        requeued = {svc: 0 for svc in SHED_ORDER}
+        for rid, (kind, *args) in enumerate(ops):
+            if kind == "offer":
+                svc, n_ues, dt = args
+                depth_before = q.depth()
+                urllc_before = q.stats.shed_depth.get(ServiceClass.URLLC, 0)
+                q.offer(_req(rid, svc, t=now, n_ues=n_ues))
+                now += dt
+                assert q.depth() <= max(max_depth, depth_before)
+                if q.stats.shed_depth.get(ServiceClass.URLLC, 0) > urllc_before:
+                    assert not q._lanes[ServiceClass.MMTC]
+                    assert not q._lanes[ServiceClass.EMBB]
+            elif kind == "take":
+                for r in q.take(args[0]):
+                    taken[r.service] += r.n_ues
+                    in_flight.append(r)
+            elif kind == "requeue":
+                back, in_flight = in_flight[:args[0]], in_flight[args[0]:]
+                for r in back:
+                    requeued[r.service] += r.n_ues
+                q.requeue(back)
+            else:
+                q.expire(now)
+            for svc in SHED_ORDER:
+                assert q.stats.offered.get(svc, 0) == (
+                    q.stats.shed_depth.get(svc, 0) + q.stats.shed_age.get(svc, 0)
+                    + taken[svc] - requeued[svc] + _queued_ues(q, svc)), svc
 
 
 # ---------------------------------------------------------------------------

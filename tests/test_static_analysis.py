@@ -3,11 +3,14 @@
 Runs the numlint analyzer over ``src/`` under the checked-in baseline
 (``tools/numlint-baseline.json``) and fails the suite on any new finding,
 parse error, or stale baseline entry.  Also proves the analyzer still has
-teeth by seeding a fixture that violates every rule in the pack.
+teeth by seeding a fixture that violates every rule in the pack, and
+keeps the kernel test oracles (``repro.kernels.reference``) out of
+production code.
 
 Run just this gate with ``pytest -m static``.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -125,6 +128,50 @@ def test_seeded_fixture_trips_every_rule():
     tripped = {f.rule_id for f in findings}
     expected = {r.rule_id for r in all_rules()}
     assert tripped == expected, f"missing: {sorted(expected - tripped)}"
+
+
+ORACLE_MODULE = "repro.kernels.reference"
+#: executor and scenario APIs choose *executor* backends, not kernels
+BACKEND_PARAM_OK = ("repro.parallel", "repro.scenarios")
+
+
+def _oracle_violations(module: str, source: str) -> list:
+    """Production code must not import the kernel oracles or grow a
+    ``backend`` parameter (one implementation per kernel)."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+            names += [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            names = []
+        if module != ORACLE_MODULE and any(
+                n == ORACLE_MODULE or n.startswith(ORACLE_MODULE + ".")
+                for n in names):
+            out.append(f"{module}:{node.lineno}: imports {ORACLE_MODULE}")
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+                and not module.startswith(BACKEND_PARAM_OK)):
+            params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            if any(p.arg == "backend" for p in params):
+                out.append(f"{module}:{node.lineno}: parameter named 'backend'")
+    return out
+
+
+def test_kernel_oracles_stay_out_of_production():
+    violations = []
+    for path in sorted((REPO / "src" / "repro").rglob("*.py")):
+        rel = path.relative_to(REPO / "src").with_suffix("")
+        module = ".".join(rel.parts).removesuffix(".__init__")
+        violations += _oracle_violations(module, path.read_text(encoding="utf-8"))
+    assert violations == [], "\n".join(violations)
+    # the scan has teeth
+    bad = ("from repro.kernels import reference\n"
+           "def solve(x, backend=None):\n    return x\n")
+    assert len(_oracle_violations("repro.convex.sdp", bad)) == 2
+    assert _oracle_violations("repro.parallel.executor",
+                              "def make(backend):\n    return backend\n") == []
 
 
 def _run_cli(*args, cwd=REPO):
