@@ -10,7 +10,13 @@ each against its loop oracle in :mod:`repro.kernels.reference`:
   batched CROWN-IBP kernel vs the per-spec reference walk;
 * **pso_swarm_update** — the whole-swarm velocity/reflection update vs
   the per-particle loops (bit-identical by contract, so the speedup is
-  pure vectorization).
+  pure vectorization);
+* **simplex_lp** — the dense simplex LP oracle on a fixed batch of RRA
+  branch-and-bound node relaxations (``solve_lp`` vs the row-by-row
+  ``solve_lp_reference``; bit-identical by contract, so the speedup is
+  interpreter overhead removed from the standard-form build and the
+  pivot loop).  This is the stage that dominates the serving tick's
+  exact rung.
 
 Each family runs best-of-``_REPEATS`` on both forms and asserts the
 committed acceptance claim: **>= 3x on at least two families**.  Pass
@@ -30,16 +36,27 @@ import pytest
 
 from _harness import best_of, maybe_write_bench_json
 from conftest import banner
+from repro.convex.lp import solve_lp
 from repro.convex.sdp import AffineSubspaceProjector
+from repro.exceptions import InfeasibleError
 from repro.kernels import reflect_box, velocity_update
 from repro.kernels.propagation import crown_ibp_margin_batch
 from repro.kernels.reference import (
     affine_projection_reference,
     reflect_box_reference,
+    solve_lp_reference,
     velocity_update_reference,
 )
 from repro.nn.layers import Dense, ReLU
 from repro.nn.network import Sequential
+from repro.qos import (
+    ChannelConfig,
+    ChannelModel,
+    QoSRequirement,
+    RRAProblem,
+    ServiceClass,
+    UserSession,
+)
 from repro.verify.linear_bounds import crown_margin_lower_bound
 
 pytestmark = pytest.mark.perf
@@ -53,6 +70,10 @@ _FAMILIES_REQUIRED = 2
 _GRAM_M, _GRAM_N = 96, 24          # constraints / matrix side
 _VERIFY_BATCH = 48                 # robustness specs per batch
 _SWARM_N, _SWARM_D, _SWARM_STEPS = 192, 24, 30
+# RRA node relaxations on (users, blocks, power levels) grids: the serving
+# shard's 2x4x1 and a three-user 3x4x1, several node boxes per instance
+_LP_GRIDS = ((2, 4, (100.0,)), (3, 4, (100.0,)))
+_LP_INSTANCES, _LP_NODES = 8, 4
 
 
 def _bench_sdp_gram_projection() -> dict:
@@ -135,6 +156,52 @@ def _bench_swarm_update() -> dict:
             "vectorized_s": t_fast, "speedup": t_ref / t_fast}  # numlint: disable=NL002 -- t_fast is a measured wall time of real work, strictly positive
 
 
+def _rra_node_relaxations() -> list:
+    """Root relaxation plus node boxes (random 0/1 fixings of a few
+    assignment variables, as branching makes them) of seeded RRA MILPs."""
+    rng = np.random.default_rng(17)
+    lps = []
+    for n_users, n_blocks, levels in _LP_GRIDS:
+        for _ in range(_LP_INSTANCES):
+            channel = ChannelModel(ChannelConfig(n_blocks=n_blocks), rng=rng)
+            users = [UserSession(i, ServiceClass.EMBB, QoSRequirement(
+                min_rate_bps=2e5, max_latency_ms=50, reliability=0.99, priority=1))
+                for i in range(n_users)]
+            model = RRAProblem(gains=channel.gains(n_users), users=users,
+                               power_levels_mw=np.array(levels), total_power_mw=500.0,
+                               noise_mw=channel.noise_linear_mw).to_milp()
+            lps.append(model.relaxation())
+            for depth in range(1, _LP_NODES):
+                lo, hi = model.lp.lo.copy(), model.lp.hi.copy()
+                fixed = rng.choice(model.dim, size=depth, replace=False)
+                side = rng.integers(0, 2, size=depth).astype(float)
+                lo[fixed] = hi[fixed] = side
+                lps.append(model.relaxation(extra_lo=lo, extra_hi=hi))
+    return lps
+
+
+def _bench_simplex_lp() -> dict:
+    """The simplex LP oracle over a fixed batch of RRA node relaxations."""
+    lps = _rra_node_relaxations()
+
+    def run(solve):
+        out = []
+        for lp in lps:
+            try:
+                out.append(solve(lp).objective)
+            except InfeasibleError:
+                out.append(np.inf)
+        return np.array(out)
+
+    ref, t_ref = best_of(lambda: run(solve_lp_reference), _REPEATS)
+    fast, t_fast = best_of(lambda: run(solve_lp), _REPEATS)
+    # one pivot sequence, so the objectives are bit-identical
+    assert ref.tobytes() == fast.tobytes()
+    return {"family": "simplex_lp", "lps": len(lps),
+            "solved": int(np.isfinite(fast).sum()), "reference_s": t_ref,
+            "vectorized_s": t_fast, "speedup": t_ref / max(t_fast, 1e-12)}
+
+
 def measure_kernels() -> list:
     """Run every kernel family once; pure so ``tools/bench_gate.py`` can
     replay the identical workload and compare against the committed
@@ -143,6 +210,7 @@ def measure_kernels() -> list:
         _bench_sdp_gram_projection(),
         _bench_verify_batch(),
         _bench_swarm_update(),
+        _bench_simplex_lp(),
     ]
 
 

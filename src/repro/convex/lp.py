@@ -4,13 +4,22 @@ The relaxed verifiers (MILP class, paper §II-B-2) and the MINLP
 branch-and-bound bounder both need an LP oracle.  This is a textbook
 tableau simplex with Bland's anti-cycling rule — appropriate for the
 dense, small-to-medium instances this library generates.
+
+Every pivot is bit-identical to the row-by-row loop kept as the test
+oracle :func:`repro.kernels.reference.solve_lp_reference`: the array
+forms below only remove interpreter overhead, never reorder a sum.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.exceptions import ConvergenceError, InfeasibleError, UnboundedError
+from repro.exceptions import (
+    ConvergenceError,
+    InfeasibleError,
+    NumericalInstabilityError,
+    UnboundedError,
+)
 from repro.convex.problem import LPProblem, Solution
 
 __all__ = ["solve_lp", "simplex_standard_form"]
@@ -18,14 +27,62 @@ __all__ = ["solve_lp", "simplex_standard_form"]
 _EPS = 1e-9
 
 
-def simplex_standard_form(
-    a: np.ndarray, b: np.ndarray, c: np.ndarray, max_iter: int = 10000
-) -> tuple[np.ndarray, float]:
-    """Solve ``min c^T x`` s.t. ``A x = b``, ``x >= 0`` by two-phase simplex.
+def _pivot(t: np.ndarray, basis: np.ndarray, allowed_cols: int, max_iter: int) -> int:
+    """Pivot tableau ``t`` (objective in the last row) to optimality in
+    place and return the number of pivots.
 
-    Returns ``(x, objective)``.  Raises :class:`InfeasibleError` or
-    :class:`UnboundedError` accordingly.
+    Dantzig pricing for speed, switching to Bland's anti-cycling rule
+    whenever the objective stalls (degenerate pivots).
     """
+    rows = t.shape[0] - 1
+    body = t[:rows]
+    rhs = body[:, -1]
+    reduced = t[rows, :allowed_cols]
+    stall = 0
+    last_obj = t[rows, -1]
+    for it in range(max_iter):
+        if stall < 25:
+            enter = int(reduced.argmin())
+            if reduced[enter] >= -_EPS:
+                return it
+        else:
+            # Bland: smallest-index entering column
+            negatives = (reduced < -_EPS).nonzero()[0]
+            if negatives.size == 0:
+                return it
+            enter = int(negatives[0])
+        col = body[:, enter]
+        ratios = np.divide(rhs, col, out=np.full(rows, np.inf), where=col > _EPS)
+        first = ratios.argmin() if rows else 0
+        low = ratios[first] if rows else np.inf
+        # no finite ratio: the entering column is an improving ray
+        if not low < np.inf:
+            raise UnboundedError("LP is unbounded")
+        # among minimizing ratios pick smallest basis index (Bland tiebreak)
+        ties = (ratios <= low + _EPS).nonzero()[0]
+        leave = int(first if ties.size == 1 else ties[basis[ties].argmin()])
+        pivot_row = t[leave]
+        pivot_row /= col[leave]
+        # eliminate the entering column from every other row whose entry
+        # is not already within _EPS of zero; other rows stay untouched
+        factors = t[:, enter]
+        mask = np.abs(factors) > _EPS
+        mask[leave] = False
+        np.subtract(t, factors[:, None] * pivot_row, out=t, where=mask[:, None])
+        basis[leave] = enter
+        obj = t[rows, -1]
+        if obj > last_obj + 1e-12 * max(1.0, abs(last_obj)):
+            stall = 0
+            last_obj = obj
+        else:
+            stall += 1
+    raise ConvergenceError("simplex exceeded its pivot budget", iterations=max_iter)
+
+
+def _simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray,
+             max_iter: int) -> tuple[np.ndarray, float, int]:
+    """Two-phase simplex on ``min c^T x``, ``A x = b``, ``x >= 0``:
+    ``(x, objective, phase-1 plus phase-2 pivots)``."""
     a = np.asarray(a, dtype=np.float64).copy()
     b = np.asarray(b, dtype=np.float64).ravel().copy()
     c = np.asarray(c, dtype=np.float64).ravel().copy()
@@ -42,53 +99,11 @@ def simplex_standard_form(
     tableau[:m, -1] = b
     # phase-1 objective: minimize sum of artificials
     tableau[m, n : n + m] = 1.0
-    basis = list(range(n, n + m))
+    basis = np.arange(n, n + m)
     # price out artificials
     tableau[m, :] -= tableau[:m, :].sum(axis=0)
 
-    def pivot(t: np.ndarray, basis: list[int], allowed_cols: int, max_iter: int) -> None:
-        """Dantzig pricing for speed, switching to Bland's anti-cycling
-        rule whenever the objective stalls (degenerate pivots)."""
-        rows = t.shape[0] - 1
-        stall = 0
-        last_obj = t[rows, -1]
-        for _ in range(max_iter):
-            reduced = t[rows, :allowed_cols]
-            if stall < 25:
-                enter = int(np.argmin(reduced))
-                if reduced[enter] >= -_EPS:
-                    return
-            else:
-                # Bland: smallest-index entering column
-                negatives = np.nonzero(reduced < -_EPS)[0]
-                if negatives.size == 0:
-                    return
-                enter = int(negatives[0])
-            ratios = np.full(rows, np.inf)
-            col = t[:rows, enter]
-            pos = col > _EPS
-            ratios[pos] = t[:rows, -1][pos] / col[pos]
-            if not np.any(np.isfinite(ratios)):
-                raise UnboundedError("LP is unbounded")
-            # among minimizing ratios pick smallest basis index (Bland tiebreak)
-            min_ratio = ratios.min()
-            candidates = [i for i in range(rows) if ratios[i] <= min_ratio + _EPS]
-            leave = min(candidates, key=lambda i: basis[i])
-            piv = t[leave, enter]
-            t[leave, :] /= piv  # numlint: disable=NL002 -- leave row chosen from col > _EPS, so piv > _EPS
-            mask = np.abs(t[:, enter]) > _EPS
-            mask[leave] = False
-            t[mask, :] -= np.outer(t[mask, enter], t[leave, :])
-            basis[leave] = enter
-            obj = t[rows, -1]
-            if obj > last_obj + 1e-12 * max(1.0, abs(last_obj)):
-                stall = 0
-                last_obj = obj
-            else:
-                stall += 1
-        raise ConvergenceError("simplex exceeded its pivot budget", iterations=max_iter)
-
-    pivot(tableau, basis, n + m, max_iter)
+    iterations = _pivot(tableau, basis, n + m, max_iter)
     feas_tol = 1e-7 * max(1.0, float(np.max(np.abs(b), initial=0.0)))
     if tableau[m, -1] < -feas_tol:
         raise InfeasibleError(f"phase-1 objective {-tableau[m, -1]:.3e} > 0: infeasible")
@@ -99,8 +114,7 @@ def simplex_standard_form(
             row = tableau[i, :n]
             j = int(np.argmax(np.abs(row)))
             if abs(row[j]) > _EPS:
-                piv = tableau[i, j]
-                tableau[i, :] /= piv  # numlint: disable=NL002 -- guarded by abs(row[j]) > _EPS just above
+                tableau[i, :] /= row[j]
                 for k in range(m + 1):
                     if k != i and abs(tableau[k, j]) > _EPS:
                         tableau[k, :] -= tableau[k, j] * tableau[i, :]
@@ -114,14 +128,36 @@ def simplex_standard_form(
     for i, bi in enumerate(basis):
         if bi < n and abs(phase2[m, bi]) > _EPS:
             phase2[m, :] -= phase2[m, bi] * phase2[i, :]
-    basis2 = list(basis)
-    pivot(phase2, basis2, n, max_iter)
+    iterations += _pivot(phase2, basis, n, max_iter)
 
     x = np.zeros(n)
-    for i, bi in enumerate(basis2):
-        if bi < n:
-            x[bi] = phase2[i, -1]
-    return x, float(c @ x)
+    structural = basis < n
+    x[basis[structural]] = phase2[:m, -1][structural]
+    return x, float(c @ x), iterations
+
+
+def simplex_standard_form(
+    a: np.ndarray, b: np.ndarray, c: np.ndarray, max_iter: int = 10000
+) -> tuple[np.ndarray, float]:
+    """Solve ``min c^T x`` s.t. ``A x = b``, ``x >= 0`` by two-phase simplex.
+
+    Returns ``(x, objective)``.  Raises :class:`InfeasibleError` or
+    :class:`UnboundedError` accordingly.
+    """
+    x, objective, _ = _simplex(a, b, c, max_iter)
+    return x, objective
+
+
+def _check_finite(problem: LPProblem) -> None:
+    """Reject NaN/inf data (and NaN bounds) before any tableau exists:
+    the simplex would otherwise report a NaN optimum as converged."""
+    for name in ("c", "g", "h", "a", "b"):
+        value = getattr(problem, name)
+        if value is not None and not np.isfinite(value).all():
+            raise NumericalInstabilityError(f"LP data {name!r} has non-finite entries")
+    for name in ("lo", "hi"):
+        if np.isnan(getattr(problem, name)).any():
+            raise NumericalInstabilityError(f"LP bound {name!r} has NaN entries")
 
 
 def solve_lp(problem: LPProblem, max_iter: int = 10000) -> Solution:
@@ -129,80 +165,47 @@ def solve_lp(problem: LPProblem, max_iter: int = 10000) -> Solution:
 
     Free variables are split, finite lower bounds shifted to zero, finite
     upper bounds become inequality rows, and inequalities get slacks.
+    ``Solution.iterations`` counts the phase-1 plus phase-2 pivots.
+    Raises :class:`NumericalInstabilityError` on non-finite data.
     """
+    _check_finite(problem)
     n = problem.dim
-    c = problem.c
-    lo, hi = problem.lo, problem.hi
+    c, lo, hi = problem.c, problem.lo, problem.hi
 
     # variable mapping: x_j = (pos_j - neg_j) + shift_j
     # finite lower bound -> shift; infinite lower bound -> split
-    col_pos = np.zeros(n, dtype=int)
-    col_neg = np.full(n, -1, dtype=int)
-    shift = np.zeros(n)
-    next_col = 0
-    for j in range(n):
-        if np.isfinite(lo[j]):
-            shift[j] = lo[j]
-            col_pos[j] = next_col
-            next_col += 1
-        else:
-            col_pos[j] = next_col
-            col_neg[j] = next_col + 1
-            next_col += 2
-    n_std = next_col
+    bounded = np.isfinite(lo)
+    width = np.where(bounded, 1, 2)
+    col_pos = np.cumsum(width) - width
+    free = (~bounded).nonzero()[0]
+    col_neg = col_pos[free] + 1
+    n_std = int(width.sum())
+    shift = np.where(bounded, lo, 0.0)
 
-    def expand_row(row: np.ndarray) -> np.ndarray:
-        out = np.zeros(n_std)
-        for j in range(n):
-            out[col_pos[j]] += row[j]
-            if col_neg[j] >= 0:
-                out[col_neg[j]] -= row[j]
-        return out
+    # equality rows, inequality rows, then one row per finite upper bound;
+    # each right-hand side is its own dot product, as in the oracle
+    blocks = [(m, v) for m, v in ((problem.a, problem.b), (problem.g, problem.h))
+              if m is not None]
+    upper = np.isfinite(hi).nonzero()[0]
+    rows = np.vstack([m for m, _ in blocks] + [np.eye(n)[upper]])
+    rhs = [v[i] - m[i] @ shift for m, v in blocks for i in range(m.shape[0])]
+    n_eq = 0 if problem.a is None else problem.a.shape[0]
+    n_slack = rows.shape[0] - n_eq
 
-    eq_rows: list[np.ndarray] = []
-    eq_rhs: list[float] = []
-    ineq_rows: list[np.ndarray] = []
-    ineq_rhs: list[float] = []
-
-    if problem.a is not None:
-        for i in range(problem.a.shape[0]):
-            eq_rows.append(expand_row(problem.a[i]))
-            eq_rhs.append(float(problem.b[i] - problem.a[i] @ shift))
-    if problem.g is not None:
-        for i in range(problem.g.shape[0]):
-            ineq_rows.append(expand_row(problem.g[i]))
-            ineq_rhs.append(float(problem.h[i] - problem.g[i] @ shift))
-    for j in range(n):
-        if np.isfinite(hi[j]):
-            row = np.zeros(n)
-            row[j] = 1.0
-            ineq_rows.append(expand_row(row))
-            ineq_rhs.append(float(hi[j] - shift[j]))
-
-    n_slack = len(ineq_rows)
-    m_total = len(eq_rows) + n_slack
-    a_std = np.zeros((m_total, n_std + n_slack))
-    b_std = np.zeros(m_total)
-    for i, (row, rhs) in enumerate(zip(eq_rows, eq_rhs)):
-        a_std[i, :n_std] = row
-        b_std[i] = rhs
-    for k, (row, rhs) in enumerate(zip(ineq_rows, ineq_rhs)):
-        i = len(eq_rows) + k
-        a_std[i, :n_std] = row
-        a_std[i, n_std + k] = 1.0
-        b_std[i] = rhs
+    # accumulate onto zeros (not assign) like the oracle's expand_row, so
+    # a -0.0 entry becomes +0.0 exactly as it did there
+    a_std = np.zeros((rows.shape[0], n_std + n_slack))
+    a_std[:, col_pos] += rows
+    a_std[:, col_neg] -= rows[:, free]
+    a_std[n_eq:, n_std:] = np.eye(n_slack)
+    b_std = np.concatenate([np.array(rhs, dtype=np.float64), hi[upper] - shift[upper]])
 
     c_std = np.zeros(n_std + n_slack)
-    for j in range(n):
-        c_std[col_pos[j]] += c[j]
-        if col_neg[j] >= 0:
-            c_std[col_neg[j]] -= c[j]
+    c_std[col_pos] += c
+    c_std[col_neg] -= c[free]
     const = float(c @ shift)
 
-    x_std, obj_std = simplex_standard_form(a_std, b_std, c_std, max_iter=max_iter)
-    x = np.zeros(n)
-    for j in range(n):
-        x[j] = x_std[col_pos[j]] + shift[j]
-        if col_neg[j] >= 0:
-            x[j] -= x_std[col_neg[j]]
-    return Solution(x=x, objective=obj_std + const, iterations=0, converged=True)
+    x_std, obj_std, iterations = _simplex(a_std, b_std, c_std, max_iter)
+    x = x_std[col_pos] + shift
+    x[free] -= x_std[col_neg]
+    return Solution(x=x, objective=obj_std + const, iterations=iterations, converged=True)

@@ -1,16 +1,16 @@
 """Reference loops: the executable specification of every kernel.
 
 Each function here is the original scalar-at-a-time form of a kernel in
-:mod:`repro.kernels` (or of the CROWN recursion and SDP projection the
-kernels replaced).  Production code runs only the vectorized kernels;
-these loops exist so the equivalence suite
-(``tests/test_kernels_equivalence.py``) can check the fast path against
-them and ``benchmarks/bench_kernels.py`` can time it against them.  No
-module under ``repro`` imports this one.
+:mod:`repro.kernels` (or of the CROWN recursion, SDP projection and
+simplex LP the fast paths replaced).  Production code runs only the
+fast paths; these loops exist so the equivalence suites
+(``tests/test_kernels_equivalence.py``, ``tests/test_lp_oracle.py``)
+can check the fast path against them and ``benchmarks/bench_kernels.py``
+can time it against them.  No module under ``repro`` imports this one.
 
-Equivalence contract: elementwise kernels and the RNG-replaying sampler
-are bit-identical to their oracle; matrix contractions agree to
-round-off, because matrix products reassociate sums.
+Equivalence contract: elementwise kernels, the RNG-replaying sampler and
+the simplex LP are bit-identical to their oracle; matrix contractions
+agree to round-off, because matrix products reassociate sums.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from repro.convex.problem import LPProblem, Solution
+from repro.exceptions import ConvergenceError, InfeasibleError, UnboundedError
 from repro.kernels.gram import apply_adjoint, apply_operator
 from repro.linalg.matrix_utils import frobenius_inner
 from repro.linalg.psd import symmetrize
@@ -38,6 +40,8 @@ __all__ = [
     "reflect_box_reference",
     "decode_indices_reference",
     "sample_distribution_swarm_reference",
+    "simplex_standard_form_reference",
+    "solve_lp_reference",
 ]
 
 
@@ -212,3 +216,203 @@ def sample_distribution_swarm_reference(logits: List[np.ndarray], samples: int,
                 p /= p.sum()  # numlint: disable=NL002 -- max-shifted logits: one term is exp(0)=1, so the sum is >= 1
                 idx[i, s, j] = rng.choice(block.shape[1], p=p)
     return idx
+
+
+# ---------------------------------------------------------------------------
+# Simplex LP (repro.convex.lp)
+# ---------------------------------------------------------------------------
+
+_EPS = 1e-9
+
+
+def simplex_standard_form_reference(
+    a: np.ndarray, b: np.ndarray, c: np.ndarray, max_iter: int = 10000
+) -> tuple[np.ndarray, float]:
+    """Row-by-row two-phase simplex (list basis, ``min``-over-candidates
+    ratio test, ``np.outer`` elimination) — the equivalence baseline of
+    :func:`repro.convex.lp.simplex_standard_form`.
+
+    Returns ``(x, objective)``.  Raises :class:`InfeasibleError` or
+    :class:`UnboundedError` accordingly.
+    """
+    a = np.asarray(a, dtype=np.float64).copy()
+    b = np.asarray(b, dtype=np.float64).ravel().copy()
+    c = np.asarray(c, dtype=np.float64).ravel().copy()
+    m, n = a.shape
+    # make rhs nonnegative
+    neg = b < 0
+    a[neg] *= -1.0
+    b[neg] *= -1.0
+
+    # phase 1: add artificial variables
+    tableau = np.zeros((m + 1, n + m + 1))
+    tableau[:m, :n] = a
+    tableau[:m, n : n + m] = np.eye(m)
+    tableau[:m, -1] = b
+    # phase-1 objective: minimize sum of artificials
+    tableau[m, n : n + m] = 1.0
+    basis = list(range(n, n + m))
+    # price out artificials
+    tableau[m, :] -= tableau[:m, :].sum(axis=0)
+
+    def pivot(t: np.ndarray, basis: list[int], allowed_cols: int, max_iter: int) -> None:
+        """Dantzig pricing for speed, switching to Bland's anti-cycling
+        rule whenever the objective stalls (degenerate pivots)."""
+        rows = t.shape[0] - 1
+        stall = 0
+        last_obj = t[rows, -1]
+        for _ in range(max_iter):
+            reduced = t[rows, :allowed_cols]
+            if stall < 25:
+                enter = int(np.argmin(reduced))
+                if reduced[enter] >= -_EPS:
+                    return
+            else:
+                # Bland: smallest-index entering column
+                negatives = np.nonzero(reduced < -_EPS)[0]
+                if negatives.size == 0:
+                    return
+                enter = int(negatives[0])
+            ratios = np.full(rows, np.inf)
+            col = t[:rows, enter]
+            pos = col > _EPS
+            ratios[pos] = t[:rows, -1][pos] / col[pos]
+            if not np.any(np.isfinite(ratios)):
+                raise UnboundedError("LP is unbounded")
+            # among minimizing ratios pick smallest basis index (Bland tiebreak)
+            min_ratio = ratios.min()
+            candidates = [i for i in range(rows) if ratios[i] <= min_ratio + _EPS]
+            leave = min(candidates, key=lambda i: basis[i])
+            piv = t[leave, enter]
+            t[leave, :] /= piv  # numlint: disable=NL002 -- leave row chosen from col > _EPS, so piv > _EPS
+            mask = np.abs(t[:, enter]) > _EPS
+            mask[leave] = False
+            t[mask, :] -= np.outer(t[mask, enter], t[leave, :])
+            basis[leave] = enter
+            obj = t[rows, -1]
+            if obj > last_obj + 1e-12 * max(1.0, abs(last_obj)):
+                stall = 0
+                last_obj = obj
+            else:
+                stall += 1
+        raise ConvergenceError("simplex exceeded its pivot budget", iterations=max_iter)
+
+    pivot(tableau, basis, n + m, max_iter)
+    feas_tol = 1e-7 * max(1.0, float(np.max(np.abs(b), initial=0.0)))
+    if tableau[m, -1] < -feas_tol:
+        raise InfeasibleError(f"phase-1 objective {-tableau[m, -1]:.3e} > 0: infeasible")
+
+    # drive remaining artificials out of the basis where possible
+    for i in range(m):
+        if basis[i] >= n:
+            row = tableau[i, :n]
+            j = int(np.argmax(np.abs(row)))
+            if abs(row[j]) > _EPS:
+                piv = tableau[i, j]
+                tableau[i, :] /= piv  # numlint: disable=NL002 -- guarded by abs(row[j]) > _EPS just above
+                for k in range(m + 1):
+                    if k != i and abs(tableau[k, j]) > _EPS:
+                        tableau[k, :] -= tableau[k, j] * tableau[i, :]
+                basis[i] = j
+
+    # phase 2: replace objective row
+    phase2 = np.zeros((m + 1, n + 1))
+    phase2[:m, :n] = tableau[:m, :n]
+    phase2[:m, -1] = tableau[:m, -1]
+    phase2[m, :n] = c
+    for i, bi in enumerate(basis):
+        if bi < n and abs(phase2[m, bi]) > _EPS:
+            phase2[m, :] -= phase2[m, bi] * phase2[i, :]
+    basis2 = list(basis)
+    pivot(phase2, basis2, n, max_iter)
+
+    x = np.zeros(n)
+    for i, bi in enumerate(basis2):
+        if bi < n:
+            x[bi] = phase2[i, -1]
+    return x, float(c @ x)
+
+
+def solve_lp_reference(problem: LPProblem, max_iter: int = 10000) -> Solution:
+    """Per-column ``expand_row`` reduction to standard form — the
+    equivalence baseline of :func:`repro.convex.lp.solve_lp`.
+
+    Free variables are split, finite lower bounds shifted to zero, finite
+    upper bounds become inequality rows, and inequalities get slacks.
+    """
+    n = problem.dim
+    c = problem.c
+    lo, hi = problem.lo, problem.hi
+
+    # variable mapping: x_j = (pos_j - neg_j) + shift_j
+    # finite lower bound -> shift; infinite lower bound -> split
+    col_pos = np.zeros(n, dtype=int)
+    col_neg = np.full(n, -1, dtype=int)
+    shift = np.zeros(n)
+    next_col = 0
+    for j in range(n):
+        if np.isfinite(lo[j]):
+            shift[j] = lo[j]
+            col_pos[j] = next_col
+            next_col += 1
+        else:
+            col_pos[j] = next_col
+            col_neg[j] = next_col + 1
+            next_col += 2
+    n_std = next_col
+
+    def expand_row(row: np.ndarray) -> np.ndarray:
+        out = np.zeros(n_std)
+        for j in range(n):
+            out[col_pos[j]] += row[j]
+            if col_neg[j] >= 0:
+                out[col_neg[j]] -= row[j]
+        return out
+
+    eq_rows: list[np.ndarray] = []
+    eq_rhs: list[float] = []
+    ineq_rows: list[np.ndarray] = []
+    ineq_rhs: list[float] = []
+
+    if problem.a is not None:
+        for i in range(problem.a.shape[0]):
+            eq_rows.append(expand_row(problem.a[i]))
+            eq_rhs.append(float(problem.b[i] - problem.a[i] @ shift))
+    if problem.g is not None:
+        for i in range(problem.g.shape[0]):
+            ineq_rows.append(expand_row(problem.g[i]))
+            ineq_rhs.append(float(problem.h[i] - problem.g[i] @ shift))
+    for j in range(n):
+        if np.isfinite(hi[j]):
+            row = np.zeros(n)
+            row[j] = 1.0
+            ineq_rows.append(expand_row(row))
+            ineq_rhs.append(float(hi[j] - shift[j]))
+
+    n_slack = len(ineq_rows)
+    m_total = len(eq_rows) + n_slack
+    a_std = np.zeros((m_total, n_std + n_slack))
+    b_std = np.zeros(m_total)
+    for i, (row, rhs) in enumerate(zip(eq_rows, eq_rhs)):
+        a_std[i, :n_std] = row
+        b_std[i] = rhs
+    for k, (row, rhs) in enumerate(zip(ineq_rows, ineq_rhs)):
+        i = len(eq_rows) + k
+        a_std[i, :n_std] = row
+        a_std[i, n_std + k] = 1.0
+        b_std[i] = rhs
+
+    c_std = np.zeros(n_std + n_slack)
+    for j in range(n):
+        c_std[col_pos[j]] += c[j]
+        if col_neg[j] >= 0:
+            c_std[col_neg[j]] -= c[j]
+    const = float(c @ shift)
+
+    x_std, obj_std = simplex_standard_form_reference(a_std, b_std, c_std, max_iter=max_iter)
+    x = np.zeros(n)
+    for j in range(n):
+        x[j] = x_std[col_pos[j]] + shift[j]
+        if col_neg[j] >= 0:
+            x[j] -= x_std[col_neg[j]]
+    return Solution(x=x, objective=obj_std + const, iterations=0, converged=True)

@@ -22,26 +22,29 @@ def round_and_repair(model: MILPModel, x_relaxed: np.ndarray, max_repair: int = 
     the LP over the continuous coordinates with integers fixed.
 
     Tries nearest-rounding first, then floor-rounding (which can only
-    reduce resource usage in <=-constrained models).  Returns the best
-    feasible point found, or None.
+    reduce resource usage in <=-constrained models).  A pure-integer
+    model has nothing to re-solve, so it makes no LP call.  Returns the
+    best feasible point found, or None.
     """
     x_relaxed = np.asarray(x_relaxed, dtype=np.float64)
+    idx = sorted(model.integer_indices)
+    # with no continuous coordinate, fixing the integers leaves the repair
+    # LP one feasible point: the rounded x that is_feasible just rejected
+    repairable = len(idx) < model.dim
     best: np.ndarray | None = None
     best_obj = np.inf
     for rounder in (np.round, np.floor):
         x = x_relaxed.copy()
-        for i in model.integer_indices:
-            x[i] = rounder(x[i])
+        x[idx] = rounder(x[idx])
         x = np.clip(x, model.lp.lo, model.lp.hi)
         candidate: np.ndarray | None = None
         if model.is_feasible(x):
             candidate = x
-        else:
+        elif repairable:
             # fix integers, re-optimize continuous part
             lo = model.lp.lo.copy()
             hi = model.lp.hi.copy()
-            for i in model.integer_indices:
-                lo[i] = hi[i] = x[i]
+            lo[idx] = hi[idx] = x[idx]
             try:
                 sol = solve_lp(LPProblem(c=model.lp.c, g=model.lp.g, h=model.lp.h,
                                          a=model.lp.a, b=model.lp.b, lo=lo, hi=hi))

@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.exceptions import InfeasibleError
 from repro.convex.lp import solve_lp
-from repro.convex.problem import LPProblem
+from repro.convex.problem import Solution
 from repro.convex.qp import solve_qp
 from repro.minlp.branch_and_bound import BnBResult, branch_and_bound
 from repro.minlp.model import MILPModel, MIQPModel
@@ -27,9 +27,19 @@ def solve_milp(
     seed the incumbent — the hybrid local/global bounding §II-B endorses.
     """
 
+    # the root relaxation the heuristic solves: branch_and_bound bounds
+    # the root box twice (for its initial bound, then again when it pops
+    # the root node), and both calls get this answer instead of a re-solve
+    root: Solution | InfeasibleError | None = None
+
     def bound(lo: np.ndarray, hi: np.ndarray) -> tuple[float, np.ndarray]:
         if np.any(lo > hi + 1e-12):
             raise InfeasibleError("empty node box")
+        if (root is not None and np.array_equal(lo, model.lp.lo)
+                and np.array_equal(hi, model.lp.hi)):
+            if isinstance(root, InfeasibleError):
+                raise root
+            return root.objective, root.x
         relaxed = model.relaxation(extra_lo=lo, extra_hi=hi)
         sol = solve_lp(relaxed)
         return sol.objective, sol.x
@@ -40,9 +50,10 @@ def solve_milp(
 
         try:
             root = solve_lp(model.relaxation())
+        except InfeasibleError as err:
+            root = err
+        else:
             initial = round_and_repair(model, root.x)
-        except InfeasibleError:
-            initial = None
 
     return branch_and_bound(
         bound_fn=bound,

@@ -133,50 +133,27 @@ class RRAProblem:
 
     # ---- MILP construction ---------------------------------------------------
     def to_milp(self) -> MILPModel:
-        """Assemble the linearized MILP (minimization of negative rate)."""
+        """Assemble the linearized MILP (minimization of negative rate).
+
+        Variable ``y[u, b, p]`` sits at flat index ``(u * B + b) * P + p``
+        (C order), so every row below is a reshaped view of the grid.
+        """
         u_n, b_n, p_n = self.n_users, self.n_blocks, self.n_levels
         n = u_n * b_n * p_n
         rates = self.rate_table()
-
-        def idx(u: int, b: int, p: int) -> int:
-            return (u * b_n + b) * p_n + p
-
-        c = np.zeros(n)
-        for u in range(u_n):
-            for b in range(b_n):
-                for p in range(p_n):
-                    c[idx(u, b, p)] = -rates[u, b, p]
-
-        g_rows: list[np.ndarray] = []
-        h_vals: list[float] = []
+        c = -rates.reshape(n)
+        g = np.zeros((b_n + 1 + u_n, n))
         # one assignment per block
-        for b in range(b_n):
-            row = np.zeros(n)
-            for u in range(u_n):
-                for p in range(p_n):
-                    row[idx(u, b, p)] = 1.0
-            g_rows.append(row)
-            h_vals.append(1.0)
+        blocks = g[:b_n].reshape(b_n, u_n, b_n, p_n)
+        blocks[np.arange(b_n), :, np.arange(b_n), :] = 1.0
         # power budget
-        row = np.zeros(n)
-        for u in range(u_n):
-            for b in range(b_n):
-                for p in range(p_n):
-                    row[idx(u, b, p)] = float(self.power_levels_mw[p])
-        g_rows.append(row)
-        h_vals.append(float(self.total_power_mw))
+        g[b_n].reshape(u_n, b_n, p_n)[...] = self.power_levels_mw
         # per-user minimum rate: -sum r y <= -R_min
-        mins = self.min_rates()
-        for u in range(u_n):
-            row = np.zeros(n)
-            for b in range(b_n):
-                for p in range(p_n):
-                    row[idx(u, b, p)] = -rates[u, b, p]
-            g_rows.append(row)
-            h_vals.append(-float(mins[u]))
-
-        lp = LPProblem(c=c, g=np.asarray(g_rows), h=np.asarray(h_vals),
-                       lo=np.zeros(n), hi=np.ones(n))
+        users = g[b_n + 1:].reshape(u_n, u_n, b_n * p_n)
+        users[np.arange(u_n), np.arange(u_n)] = -rates.reshape(u_n, b_n * p_n)
+        h = np.concatenate([np.ones(b_n), [float(self.total_power_mw)],
+                            -self.min_rates().astype(np.float64)])
+        lp = LPProblem(c=c, g=g, h=h, lo=np.zeros(n), hi=np.ones(n))
         return MILPModel(lp, frozenset(range(n)))
 
     def choice_from_milp_x(self, x: np.ndarray) -> np.ndarray:

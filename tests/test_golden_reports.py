@@ -18,14 +18,19 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.core.stack import run_rcr_stack
 from repro.obs import Telemetry
 from repro.obs.summarize import main as obs_main
 from repro.parallel import SerialExecutor
+from repro.qos.rra import RRA_FALLBACK, solve_frame
 from repro.qos.scheduler import Scheduler
+from repro.qos.traffic import ServiceClass
 from repro.resilience import FaultSpec
+from repro.serve import SchedulerShard, ShardConfig
+from repro.serve.queueing import FrameRequest
 
 from .conftest import GOLDEN_DIR
 
@@ -100,4 +105,56 @@ def test_obs_summarize_golden(update_goldens, tmp_path):
     assert telemetry.export(trace) > 0
     assert obs_main(["summarize", str(trace), "--json", str(out)]) == 0
     _check_golden("obs_summarize.json", _scrub(json.loads(out.read_text())),
+                  update_goldens)
+
+
+#: (shard config, rung list) per golden cell: the served default grid,
+#: a two-level grid whose node cap often truncates the exact search, the
+#: lp-round rung alone, and a wider single-level grid
+_RRA_FRAME_CELLS = (
+    (ShardConfig(), RRA_FALLBACK),
+    (ShardConfig(n_blocks=4, requests_per_frame=3, power_levels_mw=(50.0, 100.0),
+                 max_nodes=12, rate_floor_scale=0.05), RRA_FALLBACK),
+    (ShardConfig(n_blocks=5, requests_per_frame=3, power_levels_mw=(40.0, 100.0)),
+     RRA_FALLBACK[1:]),
+    (ShardConfig(n_blocks=6, requests_per_frame=2, max_nodes=20,
+                 rate_floor_scale=0.05), RRA_FALLBACK),
+)
+_RRA_FRAMES_PER_CELL = 50
+
+
+def _rra_frame_rows() -> list:
+    """Solve seeded shard frames serially; one row per frame.
+
+    ``total_rate`` is stored as a float hex string, so any change in the
+    vertex an LP lands on (and with it the B&B tree or the rounding) shows
+    up as a diff even when the printed decimal would not move.
+    """
+    classes = list(ServiceClass)
+    rows = []
+    for cell, (config, rungs) in enumerate(_RRA_FRAME_CELLS):
+        shard = SchedulerShard(cell, config, seed=23)
+        rng = np.random.default_rng(cell)
+        for frame in range(_RRA_FRAMES_PER_CELL):
+            now_s = 0.1 * frame
+            for i in range(config.requests_per_frame):
+                service = classes[int(rng.integers(len(classes)))]
+                shard.queue.offer(FrameRequest(
+                    request_id=10 * frame + i, cell=cell, service=service,
+                    n_ues=10, enqueued_at_s=now_s))
+            task = {**shard.build_task(now_s=now_s, frame=frame), "rungs": rungs}
+            out = solve_frame(task)
+            shard.absorb(out, now_s=now_s)
+            rows.append({
+                "cell": cell, "frame": frame, "rung": out["rung"],
+                "total_rate": float(out["total_rate"]).hex(),
+                "per_class_satisfaction": out["per_class_satisfaction"],
+            })
+    return rows
+
+
+def test_rra_frames_golden(update_goldens):
+    """Pins the exact B&B and lp-round answers of ~200 serving frames —
+    the tier-1 guard against an LP-oracle edit that moves a vertex."""
+    _check_golden("rra_frames.json", {"frames": _rra_frame_rows()},
                   update_goldens)
