@@ -16,7 +16,12 @@ each against its loop oracle in :mod:`repro.kernels.reference`:
   ``solve_lp_reference``; bit-identical by contract, so the speedup is
   interpreter overhead removed from the standard-form build and the
   pivot loop).  This is the stage that dominates the serving tick's
-  exact rung.
+  exact rung;
+* **simplex_lp_stack** — the same 64 relaxations through
+  ``solve_lp_batch`` (two same-shape groups of 32, each one lockstep
+  stacked simplex) vs one ``solve_lp`` call per LP; every member is
+  bit-identical.  The row also carries the per-LP cost by stack width
+  that sets the routing constant ``repro.convex.lp._STACK_MIN_WIDTH``.
 
 Each family runs best-of-``_REPEATS`` on both forms and asserts the
 committed acceptance claim: **>= 3x on at least two families**.  Pass
@@ -36,7 +41,8 @@ import pytest
 
 from _harness import best_of, maybe_write_bench_json
 from conftest import banner
-from repro.convex.lp import solve_lp
+from repro.convex import lp as lp_module
+from repro.convex.lp import solve_lp, solve_lp_batch
 from repro.convex.sdp import AffineSubspaceProjector
 from repro.exceptions import InfeasibleError
 from repro.kernels import reflect_box, velocity_update
@@ -74,6 +80,8 @@ _SWARM_N, _SWARM_D, _SWARM_STEPS = 192, 24, 30
 # shard's 2x4x1 and a three-user 3x4x1, several node boxes per instance
 _LP_GRIDS = ((2, 4, (100.0,)), (3, 4, (100.0,)))
 _LP_INSTANCES, _LP_NODES = 8, 4
+#: stack widths of the per-LP cost table (one grid's relaxations)
+_STACK_WIDTHS = (1, 2, 4, 6, 8, 16, 32)
 
 
 def _bench_sdp_gram_projection() -> dict:
@@ -202,6 +210,48 @@ def _bench_simplex_lp() -> dict:
             "vectorized_s": t_fast, "speedup": t_ref / max(t_fast, 1e-12)}
 
 
+def _member(outcome) -> tuple:
+    if isinstance(outcome, Exception):
+        return (type(outcome),)
+    return (outcome.x.tobytes(), outcome.objective, outcome.iterations)
+
+
+def _one_by_one(lps: list) -> list:
+    out = []
+    for lp in lps:
+        try:
+            out.append(solve_lp(lp))
+        except InfeasibleError as err:
+            out.append(err)
+    return out
+
+
+def _bench_simplex_lp_stack() -> dict:
+    """``solve_lp_batch`` vs per-LP ``solve_lp`` on the node relaxations,
+    plus the per-LP cost of the stacked kernel by stack width."""
+    lps = _rra_node_relaxations()
+    ref, t_ref = best_of(lambda: _one_by_one(lps), _REPEATS)
+    fast, t_fast = best_of(lambda: solve_lp_batch(lps), _REPEATS)
+    # lockstep pivots are the per-LP pivots: every member is bit-identical
+    assert [_member(o) for o in ref] == [_member(o) for o in fast]
+
+    # the first grid's relaxations share one standard-form shape
+    group = lps[:_LP_INSTANCES * _LP_NODES]
+    table = []
+    for width in _STACK_WIDTHS:
+        _, t_one = best_of(lambda: _one_by_one(group[:width]), _REPEATS)
+        _, t_stack = best_of(
+            lambda: lp_module._solve_batch(group[:width], 10000, 1), _REPEATS)
+        us_per_lp = 1e6 / max(width, 1)
+        table.append({"width": width, "per_lp_us": t_one * us_per_lp,
+                      "stacked_us": t_stack * us_per_lp,
+                      "speedup": t_one / max(t_stack, 1e-12)})
+    return {"family": "simplex_lp_stack", "lps": len(lps),
+            "stack_min_width": lp_module._STACK_MIN_WIDTH, "by_width": table,
+            "reference_s": t_ref, "vectorized_s": t_fast,
+            "speedup": t_ref / max(t_fast, 1e-12)}
+
+
 def measure_kernels() -> list:
     """Run every kernel family once; pure so ``tools/bench_gate.py`` can
     replay the identical workload and compare against the committed
@@ -211,6 +261,7 @@ def measure_kernels() -> list:
         _bench_verify_batch(),
         _bench_swarm_update(),
         _bench_simplex_lp(),
+        _bench_simplex_lp_stack(),
     ]
 
 
@@ -222,6 +273,14 @@ def test_kernel_speedups(request):
     for r in rows:
         print(f"{r['family']:<24} {r['reference_s']:>12.5f} "
               f"{r['vectorized_s']:>13.5f} {r['speedup']:>7.1f}x")
+
+    stack = next(r for r in rows if r["family"] == "simplex_lp_stack")
+    print(f"\nstacked simplex, per-LP cost by width "
+          f"(routing width {stack['stack_min_width']}):")
+    print(f"{'width':>6} {'per_lp_us':>10} {'stacked_us':>11} {'speedup':>8}")
+    for r in stack["by_width"]:
+        print(f"{r['width']:>6} {r['per_lp_us']:>10.0f} {r['stacked_us']:>11.0f} "
+              f"{r['speedup']:>7.2f}x")
 
     fast_families = [r["family"] for r in rows
                      if r["speedup"] >= _SPEEDUP_TARGET]

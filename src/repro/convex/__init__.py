@@ -46,7 +46,7 @@ from repro.convex.firstorder import (
     solve_sdp_firstorder_batch,
 )
 from repro.convex.langevin import LangevinConfig, LangevinResult, langevin_minimize
-from repro.convex.lp import simplex_standard_form, solve_lp
+from repro.convex.lp import simplex_standard_form, solve_lp, solve_lp_batch
 from repro.convex.problem import (
     LPProblem,
     QCQPProblem,
@@ -124,6 +124,7 @@ __all__ = [
     "solve_box_qp",
     "solve_equality_qp",
     "solve_lp",
+    "solve_lp_batch",
     "solve_qcqp",
     "solve_qcqp_barrier",
     "solve_qcqp_firstorder",

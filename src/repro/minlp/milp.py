@@ -20,21 +20,23 @@ def solve_milp(
     gap_tol: float = 1e-6,
     time_limit: float = float("inf"),
     use_root_heuristic: bool = True,
+    root: Solution | Exception | None = None,
 ) -> BnBResult:
     """Exact MILP solve: best-first BnB with LP-relaxation bounding.
 
     ``use_root_heuristic`` runs rounding-repair on the root relaxation to
     seed the incumbent — the hybrid local/global bounding §II-B endorses.
+    ``root`` is the root relaxation's precomputed outcome (what
+    ``solve_lp(model.relaxation())`` returns, or the exception it
+    raises); it is used, or re-raised, wherever the root would be solved.
     """
-
-    # the root relaxation the heuristic solves: branch_and_bound bounds
-    # the root box twice (for its initial bound, then again when it pops
-    # the root node), and both calls get this answer instead of a re-solve
-    root: Solution | InfeasibleError | None = None
 
     def bound(lo: np.ndarray, hi: np.ndarray) -> tuple[float, np.ndarray]:
         if np.any(lo > hi + 1e-12):
             raise InfeasibleError("empty node box")
+        # branch_and_bound bounds the root box twice (for its initial
+        # bound, then again when it pops the root node), and both calls
+        # get the root relaxation's answer instead of a re-solve
         if (root is not None and np.array_equal(lo, model.lp.lo)
                 and np.array_equal(hi, model.lp.hi)):
             if isinstance(root, InfeasibleError):
@@ -48,12 +50,15 @@ def solve_milp(
     if use_root_heuristic and model.integer_indices:
         from repro.minlp.heuristics import round_and_repair
 
-        try:
-            root = solve_lp(model.relaxation())
-        except InfeasibleError as err:
-            root = err
-        else:
+        if root is None:
+            try:
+                root = solve_lp(model.relaxation())
+            except InfeasibleError as err:
+                root = err
+        if isinstance(root, Solution):
             initial = round_and_repair(model, root.x)
+    if isinstance(root, Exception) and not isinstance(root, InfeasibleError):
+        raise root
 
     return branch_and_bound(
         bound_fn=bound,

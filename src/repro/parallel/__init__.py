@@ -15,6 +15,8 @@ layers scale without giving up reproducibility:
 * :func:`map_solve` — chunked fan-out with cooperative cancellation
   against a resilience :class:`~repro.resilience.Budget` and
   ``parallel.*`` spans/counters through the installed telemetry;
+* :func:`map_slices` — one :func:`map_solve` task per worker, each a
+  contiguous slice of the items (the frame loops' dispatch);
 * :class:`RelaxationCache` / :func:`fingerprint` — content-addressed
   LRU memoization of repeated relaxation/verification solves, with
   hit/miss/eviction counters in the metrics registry.
@@ -37,6 +39,7 @@ from repro.parallel.executor import (
     ThreadExecutor,
     derive_seed,
     make_executor,
+    map_slices,
     map_solve,
 )
 
@@ -50,5 +53,6 @@ __all__ = [
     "derive_seed",
     "fingerprint",
     "make_executor",
+    "map_slices",
     "map_solve",
 ]

@@ -6,7 +6,8 @@ fitness evaluations — and this module provides the one fan-out engine
 they all share: an :class:`Executor` abstraction with serial,
 thread-pool, and process-pool backends behind a single ``map`` API,
 plus :func:`map_solve`, the chunked, budget-aware, instrumented fan-out
-entry point.
+entry point, and :func:`map_slices`, which hands each worker one
+contiguous slice of the items.
 
 The determinism contract
 ------------------------
@@ -47,6 +48,7 @@ __all__ = [
     "make_executor",
     "derive_seed",
     "map_solve",
+    "map_slices",
     "BACKENDS",
 ]
 
@@ -263,9 +265,11 @@ def map_solve(
 ) -> List[R]:
     """Chunked fan-out of ``fn`` over ``items`` with cooperative cancellation.
 
-    Items are dispatched in chunks (default: ``4 * max_workers``).  The
-    resilience ``budget`` is checked between chunks *and* between the
-    items of the in-flight chunk (via
+    Without a ``budget`` every item is dispatched at once: chunk barriers
+    exist only so an expiring budget can stop the fan-out.  With one,
+    items are dispatched in chunks of ``chunk_size`` (default:
+    ``4 * max_workers``), and the budget is checked between chunks *and*
+    between the items of the in-flight chunk (via
     :meth:`Executor.map_cancellable`), so when the budget expires
     mid-chunk the still-queued work is withdrawn from the pool rather
     than executed-then-discarded, and
@@ -282,10 +286,12 @@ def map_solve(
     executor = executor or SerialExecutor()
     items = list(items)
     n = len(items)
-    if chunk_size is None:
-        chunk_size = max(1, 4 * executor.max_workers)
-    elif chunk_size < 1:
+    if chunk_size is not None and chunk_size < 1:
         raise ConfigurationError("chunk_size must be >= 1")
+    if budget is None:
+        chunk_size = max(1, n)
+    elif chunk_size is None:
+        chunk_size = max(1, 4 * executor.max_workers)
     metrics = get_metrics()
     start = time.perf_counter()
     results: List[R] = []
@@ -333,3 +339,30 @@ def map_solve(
                               label=label).observe(time.perf_counter() - start)
         span.set(completed=len(results))
     return results
+
+
+def map_slices(
+    fn: Callable[[List[T]], List[R]],
+    items: Sequence[T],
+    executor: Optional[Executor] = None,
+    label: str = "map_slices",
+) -> List[R]:
+    """Fan ``items`` out as one task per worker: split them into
+    ``executor.max_workers`` contiguous slices (fewer when there are
+    fewer items), run ``fn`` on each slice through :func:`map_solve`
+    and return the per-item results in item order.
+
+    ``fn`` maps a list of items to one result per item.  Slice bounds
+    depend only on the item count and the worker count, so a ``fn``
+    whose per-item results do not depend on their slice-mates gives
+    the same results for every executor and worker count.
+    """
+    executor = executor or SerialExecutor()
+    items = list(items)
+    if not items:
+        return []
+    n_slices = min(executor.max_workers, len(items))
+    bounds = [len(items) * k // n_slices for k in range(n_slices + 1)]
+    slices = [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    grouped = map_solve(fn, slices, executor=executor, label=label)
+    return [result for group in grouped for result in group]

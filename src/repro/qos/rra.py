@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -37,20 +37,23 @@ from repro.exceptions import (
     InfeasibleError,
     LadderExhaustedError,
     NumericalInstabilityError,
+    ReproError,
 )
 from repro.resilience import Budget, ChaosMonkey, RetryPolicy, Rung, run_ladder
-from repro.convex.lp import solve_lp
-from repro.convex.problem import LPProblem
+from repro.convex.lp import _STACK_MIN_WIDTH, solve_lp, solve_lp_batch
+from repro.convex.problem import LPProblem, Solution
 from repro.minlp.heuristics import round_and_repair
 from repro.minlp.milp import solve_milp
 from repro.minlp.model import MILPModel
+from repro.obs import get_tracer
 from repro.pso.discrete import DiscreteSpace, DistributionDiscretePSO
 from repro.pso.swarm import PSOConfig
 from repro.qos.channel import shannon_rate
 from repro.qos.traffic import UserSession
 
 __all__ = ["RRAProblem", "RRAResult", "solve_rra_exact", "solve_rra_relaxed",
-           "solve_rra_pso", "solve_rra_greedy", "solve_frame", "RRA_FALLBACK"]
+           "solve_rra_pso", "solve_rra_greedy", "solve_frame", "solve_frames",
+           "RRA_FALLBACK"]
 
 #: degradation order for the RRA solve path: exact MILP, LP-rounding,
 #: then the greedy heuristic as the guaranteed conservative rung
@@ -188,11 +191,16 @@ class RRAResult:
 
 
 def solve_rra_exact(problem: RRAProblem, max_nodes: int = 50000,
-                    time_limit: float = 120.0) -> RRAResult:
-    """Globally optimal RRA by branch-and-bound on the linearized MILP."""
+                    time_limit: float = 120.0, model: MILPModel | None = None,
+                    root: Solution | Exception | None = None) -> RRAResult:
+    """Globally optimal RRA by branch-and-bound on the linearized MILP.
+
+    ``model`` is ``problem.to_milp()`` and ``root`` its root relaxation's
+    outcome, when the caller already has them (see :func:`solve_frames`).
+    """
     start = time.perf_counter()
-    model = problem.to_milp()
-    res = solve_milp(model, max_nodes=max_nodes, time_limit=time_limit)
+    model = problem.to_milp() if model is None else model
+    res = solve_milp(model, max_nodes=max_nodes, time_limit=time_limit, root=root)
     if res.x is None:
         raise InfeasibleError("RRA instance is infeasible (QoS floors too high)")
     choice = problem.choice_from_milp_x(res.x)
@@ -208,11 +216,21 @@ def solve_rra_exact(problem: RRAProblem, max_nodes: int = 50000,
     )
 
 
-def solve_rra_relaxed(problem: RRAProblem) -> RRAResult:
-    """LP relaxation + rounding repair — the MILP-relaxation grade."""
+def solve_rra_relaxed(problem: RRAProblem, model: MILPModel | None = None,
+                      root: Solution | Exception | None = None) -> RRAResult:
+    """LP relaxation + rounding repair — the MILP-relaxation grade.
+
+    ``model`` and ``root`` as for :func:`solve_rra_exact`; a stored root
+    exception is raised here, where the root LP would have raised it.
+    """
     start = time.perf_counter()
-    model = problem.to_milp()
-    relaxed = solve_lp(model.relaxation())
+    model = problem.to_milp() if model is None else model
+    if root is None:
+        relaxed = solve_lp(model.relaxation())
+    elif isinstance(root, Exception):
+        raise root
+    else:
+        relaxed = root
     x = round_and_repair(model, relaxed.x)
     if x is None:
         # fall back to the fractional solution greedily snapped per block
@@ -375,7 +393,10 @@ def solve_frame(task: dict) -> dict:
     * ``chaos`` / ``chaos_seed`` -- optional :class:`FaultSpec` and the
       seed of this frame's :class:`ChaosMonkey`;
     * ``solvers`` (optional) -- rung implementations by name, overriding
-      the defaults (the chaos-test hook).
+      the defaults (the chaos-test hook);
+    * ``model`` / ``root`` (optional, set by :func:`solve_frames`) -- the
+      problem's MILP and its root relaxation's outcome, handed to the
+      exact and lp-round rungs instead of being rebuilt and re-solved.
 
     Nothing else is read, so the outcome is a pure function of the task
     on every :class:`repro.parallel.Executor` backend.  A frame no rung
@@ -388,12 +409,14 @@ def solve_frame(task: dict) -> dict:
     budget = (Budget(wall_clock_s=frame_budget_s)
               if frame_budget_s is not None else None)
     time_limit = frame_budget_s if frame_budget_s is not None else math.inf
+    model, root = task.get("model"), task.get("root")
     table: Dict[str, Callable[[RRAProblem], RRAResult]] = {
         "exact-bnb": lambda p: solve_rra_exact(
             p, max_nodes=task["max_nodes"],
             time_limit=(min(time_limit, budget.remaining_time)
-                        if budget is not None else time_limit)),
-        "lp-round": solve_rra_relaxed,
+                        if budget is not None else time_limit),
+            model=model, root=root),
+        "lp-round": lambda p: solve_rra_relaxed(p, model=model, root=root),
         "pso": lambda p: solve_rra_pso(p, swarm_size=12, generations=30),
         "greedy": solve_rra_greedy,
     }
@@ -450,3 +473,44 @@ def solve_frame(task: dict) -> dict:
         "solver_time_s": solver_time_s,
         "rung_times": {} if res is None else dict(res.rung_times),
     }
+
+
+def _root_batchable(task: dict) -> bool:
+    """Whether the frame's first rung solves the MILP root relaxation with
+    the default solver (exact-bnb and lp-round both start there)."""
+    first = task["rungs"][0]
+    return (first in RRA_FALLBACK[:2]
+            and first not in (task.get("solvers") or {}))
+
+
+def _milp_or_none(problem: RRAProblem) -> MILPModel | None:
+    try:
+        return problem.to_milp()
+    except ReproError:  # the frame's own rung rebuilds it and raises there
+        return None
+
+
+def solve_frames(tasks: Sequence[dict]) -> List[dict]:
+    """Solve a slice of frames: ``[solve_frame(t) for t in tasks]`` with
+    the root relaxations solved together (module-level: process-picklable).
+
+    When at least ``_STACK_MIN_WIDTH`` frames open with the exact or
+    lp-round rung, each of those frames' MILP is built once and their
+    root relaxations go through one :func:`repro.convex.lp.solve_lp_batch`
+    call; every frame then runs its unchanged ladder with the model and
+    root passed in the task.  The stacked solve is byte-identical to the
+    per-frame one, so every outcome field but ``solver_time_s`` and
+    ``rung_times`` equals the one-by-one result.  A root LP that fails is
+    re-raised inside the rung that first uses it.  Emits a
+    ``qos.rra.root_batch`` span (``frames``, ``width``).
+    """
+    tasks = list(tasks)
+    batch = [i for i, task in enumerate(tasks) if _root_batchable(task)]
+    if len(batch) >= _STACK_MIN_WIDTH:
+        with get_tracer().span("qos.rra.root_batch", frames=len(tasks), width=len(batch)):
+            models = {i: _milp_or_none(tasks[i]["problem"]) for i in batch}
+            models = {i: model for i, model in models.items() if model is not None}
+            roots = solve_lp_batch([model.relaxation() for model in models.values()])
+        for (i, model), root in zip(models.items(), roots):
+            tasks[i] = {**tasks[i], "model": model, "root": root}
+    return [solve_frame(task) for task in tasks]

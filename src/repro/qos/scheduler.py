@@ -17,9 +17,9 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.obs import get_metrics, get_tracer
-from repro.parallel import Executor, derive_seed, map_solve
+from repro.parallel import Executor, derive_seed, map_slices
 from repro.qos.channel import ChannelConfig, ChannelModel
-from repro.qos.rra import RRA_FALLBACK, RRAProblem, RRAResult, solve_frame
+from repro.qos.rra import RRA_FALLBACK, RRAProblem, RRAResult, solve_frame, solve_frames
 from repro.qos.traffic import ServiceClass, TrafficGenerator, UserSession
 from repro.resilience import CircuitBreaker, FaultSpec
 
@@ -234,7 +234,6 @@ class Scheduler:
         }
 
     def run(self, n_frames: int = 10, executor: Executor | None = None,
-            chunk_size: int | None = None,
             chaos: FaultSpec | None = None) -> ScheduleReport:
         """Run ``n_frames`` scheduling frames and merge the per-frame stats.
 
@@ -246,7 +245,8 @@ class Scheduler:
         frames are solved one at a time and share the circuit breaker:
         while it is open a frame runs the greedy rung only, and frames
         that start at the primary rung feed it.  With an ``executor``
-        the frames fan out through :func:`repro.parallel.map_solve` and,
+        the frames fan out through :func:`repro.parallel.map_slices`
+        (one :func:`~repro.qos.rra.solve_frames` slice per worker) and,
         being in flight together, bypass the breaker.  ``chaos``
         (resilient mode only) injects a deterministic per-frame
         :class:`~repro.resilience.ChaosMonkey` around every rung.
@@ -269,8 +269,8 @@ class Scheduler:
                     for frame in range(first, min(first + batch, n_frames))
                 ]
                 outcomes = ([solve_frame(task) for task in tasks] if executor is None
-                            else map_solve(solve_frame, tasks, executor=executor,
-                                           chunk_size=chunk_size, label="qos.frames"))
+                            else map_slices(solve_frames, tasks, executor=executor,
+                                            label="qos.frames"))
                 for task, out in zip(tasks, outcomes):
                     if breaker is not None and task["rungs"][0] == ladder[0]:
                         if out["primary_failed"]:

@@ -9,9 +9,12 @@ objects through simulated time.  Each tick it:
    backpressure (:mod:`repro.serve.overload`);
 3. builds one picklable frame task per non-idle shard and fans them out
    through a :class:`repro.parallel.Executor` via
-   :func:`repro.parallel.map_solve` — the per-task seeds derive from
-   ``(seed, frame, cell)``, so serial/thread/process backends produce
-   bit-identical reports;
+   :func:`repro.parallel.map_slices` — one
+   :func:`repro.qos.rra.solve_frames` task per worker, each a contiguous
+   slice of the tick's frames.  The per-task seeds derive from
+   ``(seed, frame, cell)`` and a frame's outcome does not depend on its
+   slice, so serial/thread/process backends produce bit-identical
+   reports;
 4. absorbs the outcomes serially, feeding breakers and latency records.
 
 Time is **simulated**: the loop advances a fixed ``tick_s`` per
@@ -44,14 +47,18 @@ from repro.obs import (
     get_metrics,
     get_tracer,
 )
-from repro.parallel import Executor, map_solve
+from repro.parallel import Executor, map_slices
 from repro.qos.channel import ChannelConfig
+from repro.qos.rra import solve_frames
 from repro.qos.traffic import ServiceClass
 from repro.resilience import Budget, FaultSpec
 from repro.serve.arrivals import ArrivalConfig, ArrivalProcess
 from repro.serve.overload import NORMAL, STATES
 from repro.serve.queueing import SERVE_ORDER, FrameRequest
-from repro.serve.shard import SchedulerShard, ShardConfig, solve_shard_task
+# solve_shard_task (= qos.rra.solve_frame) is what solve_frames runs on
+# each task; the name stays bound here for the serving benchmark's
+# outside-in hooks (benchmarks/e2e/hooks.py), which rebind import sites
+from repro.serve.shard import SchedulerShard, ShardConfig, solve_shard_task  # noqa: F401
 
 __all__ = ["ServeConfig", "ServeReport", "QoSService"]
 
@@ -266,11 +273,13 @@ class QoSService:
                 tasks.append(task)
                 owners.append(shard)
         if tasks:
+            workers = 1 if self.executor is None else self.executor.max_workers
             with get_tracer().span("serve.tick", frame=self._frame,
-                                   time_s=round(now, 4), frames=len(tasks)):
-                outcomes = map_solve(solve_shard_task, tasks,
-                                     executor=self.executor,
-                                     label="serve.frames")
+                                   time_s=round(now, 4), frames=len(tasks),
+                                   slices=min(workers, len(tasks))):
+                outcomes = map_slices(solve_frames, tasks,
+                                      executor=self.executor,
+                                      label="serve.frames")
             for shard, outcome in zip(owners, outcomes):
                 shard.absorb(outcome, now)
         self._record_sheds()

@@ -130,9 +130,9 @@ def _scaled_session(index: int, svc: ServiceClass, scale: float) -> UserSession:
     ))
 
 
-#: the shard frame solve, dispatched by ``QoSService`` through
-#: :func:`repro.parallel.map_solve`: one :func:`repro.qos.rra.solve_frame`
-#: task per non-idle shard and tick
+#: the shard frame solve: ``QoSService`` hands each worker a slice of the
+#: tick's frame tasks (one per non-idle shard), and
+#: :func:`repro.qos.rra.solve_frames` runs this on every one of them
 solve_shard_task = solve_frame
 
 

@@ -123,34 +123,41 @@ _RRA_FRAME_CELLS = (
 _RRA_FRAMES_PER_CELL = 50
 
 
+def _rra_frame_corpus(cell: int) -> list:
+    """``(task, outcome)`` per seeded shard frame of one golden cell, solved
+    serially; each task is built after the previous outcome was absorbed."""
+    config, rungs = _RRA_FRAME_CELLS[cell]
+    classes = list(ServiceClass)
+    shard = SchedulerShard(cell, config, seed=23)
+    rng = np.random.default_rng(cell)
+    corpus = []
+    for frame in range(_RRA_FRAMES_PER_CELL):
+        now_s = 0.1 * frame
+        for i in range(config.requests_per_frame):
+            service = classes[int(rng.integers(len(classes)))]
+            shard.queue.offer(FrameRequest(
+                request_id=10 * frame + i, cell=cell, service=service,
+                n_ues=10, enqueued_at_s=now_s))
+        task = {**shard.build_task(now_s=now_s, frame=frame), "rungs": rungs}
+        out = solve_frame(task)
+        shard.absorb(out, now_s=now_s)
+        corpus.append((task, out))
+    return corpus
+
+
 def _rra_frame_rows() -> list:
-    """Solve seeded shard frames serially; one row per frame.
+    """One row per frame of every golden cell.
 
     ``total_rate`` is stored as a float hex string, so any change in the
     vertex an LP lands on (and with it the B&B tree or the rounding) shows
     up as a diff even when the printed decimal would not move.
     """
-    classes = list(ServiceClass)
-    rows = []
-    for cell, (config, rungs) in enumerate(_RRA_FRAME_CELLS):
-        shard = SchedulerShard(cell, config, seed=23)
-        rng = np.random.default_rng(cell)
-        for frame in range(_RRA_FRAMES_PER_CELL):
-            now_s = 0.1 * frame
-            for i in range(config.requests_per_frame):
-                service = classes[int(rng.integers(len(classes)))]
-                shard.queue.offer(FrameRequest(
-                    request_id=10 * frame + i, cell=cell, service=service,
-                    n_ues=10, enqueued_at_s=now_s))
-            task = {**shard.build_task(now_s=now_s, frame=frame), "rungs": rungs}
-            out = solve_frame(task)
-            shard.absorb(out, now_s=now_s)
-            rows.append({
-                "cell": cell, "frame": frame, "rung": out["rung"],
-                "total_rate": float(out["total_rate"]).hex(),
-                "per_class_satisfaction": out["per_class_satisfaction"],
-            })
-    return rows
+    return [{
+        "cell": cell, "frame": task["frame"], "rung": out["rung"],
+        "total_rate": float(out["total_rate"]).hex(),
+        "per_class_satisfaction": out["per_class_satisfaction"],
+    } for cell in range(len(_RRA_FRAME_CELLS))
+        for task, out in _rra_frame_corpus(cell)]
 
 
 def test_rra_frames_golden(update_goldens):

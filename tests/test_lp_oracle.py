@@ -3,8 +3,11 @@
 ``repro.convex.solve_lp`` must stay bit-identical to
 ``repro.kernels.reference.solve_lp_reference`` (the row-by-row loop it
 replaced): same ``x`` bytes, same objective bytes, same exception class.
-The branch-and-bound MILP solver must solve its root relaxation once, and
-rounding repair must make no LP call on a pure-integer model.
+The stacked simplex behind ``solve_lp_batch`` must give every member
+exactly what its own ``solve_lp`` call gives (``x``, objective bytes,
+pivot count, exception class).  The branch-and-bound MILP solver must
+solve its root relaxation once, and rounding repair must make no LP call
+on a pure-integer model.
 """
 
 from __future__ import annotations
@@ -16,13 +19,14 @@ from hypothesis import strategies as st
 
 import repro.minlp.heuristics as heuristics
 import repro.minlp.milp as milp
-from repro.convex import LPProblem, simplex_standard_form, solve_lp
-from repro.exceptions import NumericalInstabilityError, ReproError
+from repro.convex import LPProblem, lp, simplex_standard_form, solve_lp, solve_lp_batch
+from repro.exceptions import ConvergenceError, NumericalInstabilityError, ReproError
 from repro.kernels.reference import (
     simplex_standard_form_reference,
     solve_lp_reference,
 )
 from repro.minlp import MILPModel, round_and_repair, solve_milp
+from repro.obs import MetricsRegistry, use_metrics
 from repro.qos import (
     ChannelConfig,
     ChannelModel,
@@ -324,3 +328,139 @@ def test_pure_integer_repair_lp_has_no_candidate(seed):
         except ReproError:
             continue
         assert not model.is_feasible(sol.x)
+
+
+# ---------------------------------------------------------------------------
+# The stacked simplex: every member byte-identical to its own solve_lp
+# ---------------------------------------------------------------------------
+
+def _member(outcome):
+    """``("ok", x bytes, objective bytes, pivots)`` or ``("raise", class)``."""
+    if isinstance(outcome, Exception):
+        return ("raise", type(outcome))
+    return ("ok", outcome.x.tobytes(), np.float64(outcome.objective).tobytes(),
+            outcome.iterations)
+
+
+def _alone(problem, max_iter=10000):
+    try:
+        return _member(solve_lp(problem, max_iter))
+    except ReproError as err:
+        return ("raise", type(err))
+
+
+def _assert_stack_matches(problems, max_iter=10000):
+    """Stack every same-shape group, whatever its width (the kernel called
+    directly), and through the routed public entry point."""
+    for got in (lp._solve_batch(problems, max_iter, 1),
+                solve_lp_batch(problems, max_iter)):
+        assert len(got) == len(problems)
+        for problem, outcome in zip(problems, got):
+            assert _member(outcome) == _alone(problem, max_iter)
+
+
+@st.composite
+def _same_shape_lps(draw, width) -> list:
+    """``width`` LPs with one standard-form shape: the dimensions and the
+    finite/infinite pattern of the bounds are shared, the data is not."""
+    n = draw(st.integers(1, 5))
+    m_ineq, m_eq = draw(st.integers(0, 4)), draw(st.integers(0, 2))
+    free = [draw(st.booleans()) for _ in range(n)]
+    capped = [draw(st.booleans()) for _ in range(n)]
+
+    def vec(size):
+        return np.array([draw(_COEF) for _ in range(size)])
+
+    out = []
+    for _ in range(width):
+        lo = np.array([-np.inf if f else draw(st.sampled_from([-1.0, 0.0, 1.5]))
+                       for f in free])
+        width_ = np.array([draw(st.sampled_from([0.0, 1.0, 2.5])) if cap else np.inf
+                           for cap in capped])
+        out.append(LPProblem(
+            c=vec(n),
+            g=vec(m_ineq * n).reshape(m_ineq, n) if m_ineq else None,
+            h=vec(m_ineq) if m_ineq else None,
+            a=vec(m_eq * n).reshape(m_eq, n) if m_eq else None,
+            b=vec(m_eq) if m_eq else None,
+            lo=lo, hi=width_ + np.where(np.isfinite(lo), lo, 0.0)))
+    return out
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.integers(2, 16).flatmap(_same_shape_lps), st.lists(_lps(), max_size=4),
+       st.sampled_from([10000, 10000, 3]))
+def test_stacked_members_bit_identical_to_solve_lp(group, others, max_iter):
+    """Mixed-shape batches: a same-shape group of width 2-16 plus stray
+    shapes.  Random data makes infeasible and unbounded members common;
+    ``max_iter=3`` stops some members with ConvergenceError mid-stack."""
+    _assert_stack_matches(group + others, max_iter)
+
+
+def test_stack_covers_every_member_outcome():
+    """One stack holding optimal, infeasible, unbounded and pivot-capped
+    members; each gets its own outcome."""
+    feasible = LPProblem(c=np.array([-1.0, -1.0]), g=np.array([[1.0, 2.0], [3.0, 1.0]]),
+                         h=np.array([4.0, 6.0]), lo=np.zeros(2))
+    infeasible = LPProblem(c=np.array([1.0, 0.0]), g=np.array([[1.0, 1.0], [-1.0, -1.0]]),
+                           h=np.array([1.0, -3.0]), lo=np.zeros(2))
+    unbounded = LPProblem(c=np.array([-1.0, 0.0]), g=np.array([[-1.0, 1.0], [0.0, 1.0]]),
+                          h=np.array([0.0, 1.0]), lo=np.zeros(2))
+    problems = [feasible, infeasible, unbounded, feasible]
+    classes = [type(o).__name__ for o in lp._solve_batch(problems, 10000, 1)]
+    assert classes == ["Solution", "InfeasibleError", "UnboundedError", "Solution"]
+    capped = lp._solve_batch(problems, 1, 1)
+    assert isinstance(capped[0], ConvergenceError)
+    _assert_stack_matches(problems)
+    _assert_stack_matches(problems, 1)
+
+
+@pytest.mark.parametrize("width", [2, 5])
+def test_stacked_degenerate_members_run_bland(width):
+    """Zero right-hand sides stall the degenerate members past the Bland
+    switch while same-shape generic members are still pivoting by
+    Dantzig: each member keeps its own stall count inside the stack."""
+    problems = []
+    for seed in range(2 * width):
+        rng = np.random.default_rng(seed)
+        h = np.zeros(30) if seed % 2 else rng.integers(1, 9, size=30).astype(float)
+        problems.append(LPProblem(c=-rng.integers(1, 3, size=20).astype(float),
+                                  g=rng.integers(0, 3, size=(30, 20)).astype(float),
+                                  h=h, lo=np.zeros(20)))
+    pivots = [o.iterations for o in lp._solve_batch(problems, 10000, 1)]
+    assert all(p > 25 for p in pivots[1::2])
+    _assert_stack_matches(problems)
+
+
+def test_non_finite_member_gets_its_own_error():
+    good = _lp()
+    bad = _lp(c=np.array([np.nan, 1.0]))
+    got = lp._solve_batch([good, bad, good], 10000, 1)
+    assert isinstance(got[1], NumericalInstabilityError)
+    assert _member(got[0]) == _member(got[2]) == _alone(good)
+
+
+def _frame_cell_roots() -> list:
+    """The root relaxations of the ``rra_frames.json`` golden's frames."""
+    from .test_golden_reports import _RRA_FRAME_CELLS, _rra_frame_corpus
+
+    return [task["problem"].to_milp().relaxation()
+            for cell in range(len(_RRA_FRAME_CELLS))
+            for task, _ in _rra_frame_corpus(cell)]
+
+
+def test_stacked_rra_roots_bit_identical():
+    roots = _frame_cell_roots()
+    assert len({lp._standard_form(p).a.shape for p in roots}) > 1
+    _assert_stack_matches(roots)
+
+
+def test_stack_width_histogram():
+    registry = MetricsRegistry()
+    roots = [_rra(seed, n_users=2, n_blocks=4, levels=(100.0,)).to_milp().relaxation()
+             for seed in range(7)]
+    with use_metrics(registry):
+        solve_lp_batch(roots + [_lp()])
+    hist = registry.snapshot()["histograms"]["convex.lp.stack_width"]
+    # one group of the seven same-shape roots, one of the stray LP
+    assert hist["count"] == 2 and hist["sum"] == 8.0

@@ -30,6 +30,7 @@ from repro.parallel import (
     SerialExecutor,
     derive_seed,
     make_executor,
+    map_slices,
     map_solve,
 )
 from repro.pso.discrete import (
@@ -60,6 +61,22 @@ def _boom(i):
     if i == 3:
         raise ValueError("task 3 failed")
     return i
+
+
+class _CountingExecutor(SerialExecutor):
+    """Serial executor with a worker count, recording each dispatch size."""
+
+    def __init__(self, max_workers: int):
+        self._workers = max_workers
+        self.dispatches = []
+
+    @property
+    def max_workers(self) -> int:
+        return self._workers
+
+    def map_cancellable(self, fn, items, should_cancel=None):
+        self.dispatches.append(len(items))
+        return super().map_cancellable(fn, items, should_cancel)
 
 
 def _backend_results(fn):
@@ -154,6 +171,37 @@ class TestMapSolve:
         assert registry.counter_value("parallel.cancelled_chunks",
                                       backend="serial",
                                       label="midchunk") == 2.0
+
+    def test_unbudgeted_fan_out_is_one_dispatch(self):
+        """Chunk barriers only serve budget cancellation: without a budget
+        every item goes out in one dispatch, whatever ``chunk_size``."""
+        for chunk_size in (None, 2):
+            ex = _CountingExecutor(max_workers=3)
+            assert map_solve(_square, range(10), executor=ex,
+                             chunk_size=chunk_size) == [i * i for i in range(10)]
+            assert ex.dispatches == [10]
+        ex = _CountingExecutor(max_workers=3)
+        map_solve(_square, range(10), executor=ex, budget=Budget(iterations=100),
+                  chunk_size=4)
+        assert ex.dispatches == [4, 4, 2]
+        ex = _CountingExecutor(max_workers=3)
+        map_solve(_square, range(30), executor=ex, budget=Budget(iterations=100))
+        assert ex.dispatches == [12, 12, 6]
+
+    def test_map_slices_one_contiguous_slice_per_worker(self):
+        for workers, n, sizes in ((1, 7, [7]), (2, 7, [3, 4]), (5, 12, [2, 2, 3, 2, 3]),
+                                  (5, 3, [1, 1, 1]), (3, 0, [])):
+            ex = _CountingExecutor(max_workers=workers)
+            seen = []
+
+            def squares(items, seen=seen):
+                seen.append(list(items))
+                return [i * i for i in items]
+
+            assert map_slices(squares, range(n), executor=ex) == [i * i for i in range(n)]
+            assert [len(s) for s in seen] == sizes
+            assert [i for s in seen for i in s] == list(range(n))
+            assert ex.dispatches == ([len(sizes)] if n else [])
 
     def test_map_cancellable_returns_ordered_prefix_on_pools(self):
         gate = {"open": False}

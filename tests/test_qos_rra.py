@@ -1,9 +1,16 @@
-"""Tests for the RRA MINLP and its three solution strategies."""
+"""Tests for the RRA MINLP, its three solution strategies, and the
+frame-batch path (``solve_frames``)."""
+
+import functools
 
 import numpy as np
 import pytest
 
+import repro.minlp.milp as milp
+import repro.qos.rra as rra
 from repro.exceptions import ConfigurationError, InfeasibleError
+from repro.obs import Tracer, use_tracer
+from repro.parallel import derive_seed
 from repro.qos import (
     ChannelConfig,
     ChannelModel,
@@ -16,6 +23,8 @@ from repro.qos import (
     solve_rra_pso,
     solve_rra_relaxed,
 )
+from repro.qos.rra import RRA_FALLBACK, solve_frame, solve_frames
+from repro.resilience import FaultSpec
 
 
 def _users(rates):
@@ -130,3 +139,122 @@ class TestSolvers:
             assert rl.extra["lp_bound"] >= rl.total_rate - 1e-6
         ex = solve_rra_exact(p)
         assert rl.extra["lp_bound"] >= ex.total_rate - 1e-6
+
+
+# ---------------------------------------------------------------------------
+# Frame batches: solve_frames == solve_frame per task
+# ---------------------------------------------------------------------------
+
+#: outcome fields that are wall-clock measurements, not results
+_TIMING_FIELDS = ("solver_time_s", "rung_times")
+
+
+def _untimed(outcome):
+    """The outcome without its timings; ``total_rate`` as float hex, which
+    is exact and makes a NaN rate compare equal to itself."""
+    out = {k: v for k, v in outcome.items() if k not in _TIMING_FIELDS}
+    out["total_rate"] = float(out["total_rate"]).hex()
+    return out
+
+
+def _assert_batched_equals_one_by_one(tasks, monkeypatch):
+    # root-box LP solves left to the rungs (the B&B root or lp-round's LP)
+    rung_roots = []
+    for module in (rra, milp):
+        def counted(problem, *args, _inner=module.solve_lp, **kwargs):
+            if not problem.lo.any() and (problem.hi == 1.0).all():
+                rung_roots.append(problem)
+            return _inner(problem, *args, **kwargs)
+        monkeypatch.setattr(module, "solve_lp", counted)
+    tracer = Tracer()
+    with use_tracer(tracer):
+        batched = solve_frames(tasks)
+    # every root came from the batch: a stored failure is re-raised, not re-solved
+    assert rung_roots == []
+    alone = [solve_frame(task) for task in tasks]
+    assert [_untimed(o) for o in batched] == [_untimed(o) for o in alone]
+    # the root relaxations really went through one stacked batch
+    spans = [r for r in tracer.records if r.name == "qos.rra.root_batch"]
+    assert len(spans) == 1
+    assert spans[0].attrs["frames"] == len(tasks)
+    assert spans[0].attrs["width"] == sum(t["rungs"][0] != "greedy" for t in tasks)
+    return batched
+
+
+@functools.lru_cache(maxsize=1)
+def _golden_tasks() -> tuple:
+    from .test_golden_reports import _RRA_FRAME_CELLS, _rra_frame_corpus
+
+    return tuple(task for cell in range(len(_RRA_FRAME_CELLS))
+                 for task, _ in _rra_frame_corpus(cell))
+
+
+class TestSolveFrames:
+    def test_golden_corpus(self, monkeypatch):
+        batched = _assert_batched_equals_one_by_one(list(_golden_tasks()), monkeypatch)
+        assert {o["rung"] for o in batched} >= {"exact-bnb", "lp-round"}
+
+    def test_chaos_retries_and_validation(self, monkeypatch):
+        chaos = FaultSpec(exception_rate=0.3, nan_rate=0.2)
+        tasks = [{**task, "chaos": chaos, "chaos_seed": derive_seed(5, i, "rra"),
+                  "attempts": 2, "validate": True}
+                 for i, task in enumerate(_golden_tasks()[::4])]
+        batched = _assert_batched_equals_one_by_one(tasks, monkeypatch)
+        assert sum(o["chaos_injections"] for o in batched) > 0
+
+    @pytest.mark.parametrize("budget_s", [1e-9, 60.0])
+    def test_frame_budgets(self, budget_s, monkeypatch):
+        tasks = [{**task, "frame_budget_s": budget_s}
+                 for task in _golden_tasks()[1::5]]
+        _assert_batched_equals_one_by_one(tasks, monkeypatch)
+
+    def test_failing_roots_fail_in_their_rung(self, monkeypatch):
+        """NaN gains make the root LP raise NumericalInstabilityError,
+        impossible floors make it infeasible: the stored failure descends
+        the ladder exactly as the per-frame root solve did.  A problem
+        whose MILP cannot be built is left to its own rungs."""
+        base = _golden_tasks()[:8]
+        tasks = []
+        for i, task in enumerate(base):
+            problem = task["problem"]
+            if i % 2:
+                gains = problem.gains.copy()
+                gains[0, 0] = np.nan
+                problem = RRAProblem(gains=gains, users=problem.users,
+                                     power_levels_mw=problem.power_levels_mw,
+                                     total_power_mw=problem.total_power_mw,
+                                     noise_mw=problem.noise_mw)
+            else:
+                problem = RRAProblem(gains=problem.gains, users=_users([1e12] * problem.n_users),
+                                     power_levels_mw=problem.power_levels_mw,
+                                     total_power_mw=problem.total_power_mw,
+                                     noise_mw=problem.noise_mw)
+            tasks.append({**task, "problem": problem,
+                          "rungs": RRA_FALLBACK if i % 4 < 2 else RRA_FALLBACK[1:]})
+        # a zero bandwidth fails the MILP build itself (every rung: dropped)
+        problem = base[0]["problem"]
+        tasks.append({**base[0], "problem": RRAProblem(
+            gains=problem.gains, users=problem.users,
+            power_levels_mw=problem.power_levels_mw, total_power_mw=problem.total_power_mw,
+            noise_mw=problem.noise_mw, bandwidth_hz=0.0)})
+        batched = _assert_batched_equals_one_by_one(tasks, monkeypatch)
+        assert batched[-1]["dropped"]
+        assert all(o["primary_failed"] for o in batched)
+        assert {o["rung"] for o in batched} <= {"greedy", "none"}
+
+    def test_narrow_slices_solve_frame_by_frame(self):
+        tracer = Tracer()
+        tasks = list(_golden_tasks()[:3])
+        with use_tracer(tracer):
+            batched = solve_frames(tasks)
+        assert not [r for r in tracer.records if r.name == "qos.rra.root_batch"]
+        assert [_untimed(o) for o in batched] == [_untimed(solve_frame(t)) for t in tasks]
+
+    def test_overridden_rungs_are_not_batched(self):
+        tasks = [{**task, "solvers": {"exact-bnb": solve_rra_greedy}}
+                 for task in _golden_tasks()[:8] if task["rungs"][0] == "exact-bnb"]
+        tracer = Tracer()
+        with use_tracer(tracer):
+            batched = solve_frames(tasks)
+        assert not [r for r in tracer.records if r.name == "qos.rra.root_batch"]
+        assert [o["rung"] for o in batched] == ["exact-bnb"] * len(tasks)

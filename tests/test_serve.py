@@ -14,7 +14,13 @@ from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError
 from repro.obs import Telemetry
-from repro.parallel import ProcessExecutor, SerialExecutor, ThreadExecutor, derive_seed
+from repro.parallel import (
+    ProcessExecutor,
+    SerialExecutor,
+    ThreadExecutor,
+    derive_seed,
+    make_executor,
+)
 from repro.qos.mobility import GilbertElliottConfig
 from repro.qos.rra import RRA_FALLBACK
 from repro.qos.traffic import MMPPConfig, ServiceClass
@@ -441,6 +447,37 @@ class TestQoSService:
             got = report.to_dict()
             # wall-clock-free: every field must match bit-for-bit
             assert got == base, executor.backend
+
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    def test_reports_identical_across_slice_counts(self, backend):
+        """A tick's frames are split into one slice per worker, and each
+        slice batches its root LPs (12 busy cells: the one-slice run
+        stacks them, five slices of two or three frames do not) — the
+        report must not depend on how the frames were sliced."""
+        cfg = ServeConfig(n_cells=12, seed=5, tick_s=0.1,
+                          arrivals=ArrivalConfig(base_rate_hz=8.0, batch_ues=15))
+        telemetry = Telemetry.recording()
+        with telemetry.install():
+            base = QoSService(cfg).run(2.0).to_dict()
+        assert any(r.name == "qos.rra.root_batch" for r in telemetry.tracer.records)
+        for workers in (1, 2, 5):
+            executor = (SerialExecutor() if backend == "serial"
+                        else make_executor(backend, max_workers=workers))
+            with executor:
+                got = QoSService(cfg, executor=executor).run(2.0).to_dict()
+            assert got == base, (backend, workers)
+            if backend == "serial":
+                break
+
+    def test_tick_span_records_slices(self):
+        cfg = ServeConfig(n_cells=5, seed=5, tick_s=0.1, arrivals=_SMOKE_ARRIVALS)
+        telemetry = Telemetry.recording()
+        with telemetry.install(), ThreadExecutor(max_workers=2) as executor:
+            QoSService(cfg, executor=executor).run(1.0)
+        ticks = [r for r in telemetry.tracer.records if r.name == "serve.tick"]
+        assert ticks
+        for tick in ticks:
+            assert tick.attrs["slices"] == min(2, tick.attrs["frames"])
 
     def test_run_rejects_bad_duration(self):
         with pytest.raises(ConfigurationError):

@@ -6,7 +6,8 @@ Replays the workload of ``benchmarks/bench_kernels.py`` (via its pure
 against the committed snapshot ``benchmarks/results/BENCH_kernels.json``.
 The gate **fails** (exit 1) when any family's speedup drops more than
 ``--threshold`` (default 25%) below the committed value — the signal
-that a kernel silently fell off its vectorized fast path.  The CLI then
+that a kernel silently fell off its vectorized fast path — or below its
+hard floor in :data:`KERNEL_FLOORS`.  The CLI then
 replays the analyzer, serving, telemetry, streaming-DSP and first-order
 benches against their ``BENCH_*.json`` snapshots the same way; a
 missing snapshot fails the gate.
@@ -36,6 +37,10 @@ OBS_SNAPSHOT = BENCH_DIR / "results" / "BENCH_obs_overhead.json"
 SIGNAL_SNAPSHOT = BENCH_DIR / "results" / "BENCH_signal_streaming.json"
 FIRSTORDER_SNAPSHOT = BENCH_DIR / "results" / "BENCH_firstorder.json"
 DEFAULT_THRESHOLD = 0.25
+#: hard speedup floors for kernel families, on top of the relative one:
+#: a stacked LP batch slower than one ``solve_lp`` per LP has lost the
+#: only reason ``solve_lp_batch`` routes wide groups to it
+KERNEL_FLOORS = {"simplex_lp_stack": 1.0}
 #: streaming-DSP speedups (vs block oracles) may drop this fraction
 #: below the committed value before the gate fails; same noise profile
 #: as the kernel micro-benchmarks
@@ -90,8 +95,9 @@ def check_regressions(threshold: float = DEFAULT_THRESHOLD,
 
     module = _load_bench_module()
     current = {row["family"]: row["speedup"] for row in module.measure_kernels()}
+    floors = {f: max(s * (1.0 - threshold), KERNEL_FLOORS.get(f, 0.0))
+              for f, s in baseline.items()}
     for attempt in range(retries):
-        floors = {f: s * (1.0 - threshold) for f, s in baseline.items()}
         if all(current.get(f, 0.0) >= floors[f] for f in baseline):
             break
         print(f"(retry {attempt + 1}: re-measuring families below floor)")
@@ -102,7 +108,7 @@ def check_regressions(threshold: float = DEFAULT_THRESHOLD,
     failures = []
     print(f"{'family':<24} {'committed':>10} {'current':>10} {'floor':>10}")
     for family, committed_speedup in baseline.items():
-        floor = committed_speedup * (1.0 - threshold)
+        floor = floors[family]
         measured = current.get(family)
         if measured is None:
             failures.append(f"{family}: missing from current measurement")
@@ -111,8 +117,10 @@ def check_regressions(threshold: float = DEFAULT_THRESHOLD,
               f"{floor:>9.1f}x")
         if measured < floor:
             failures.append(
-                f"{family}: speedup {measured:.2f}x regressed more than "
-                f"{100 * threshold:.0f}% below committed {committed_speedup:.2f}x")
+                f"{family}: speedup {measured:.2f}x below floor {floor:.2f}x "
+                f"(committed {committed_speedup:.2f}x, relative threshold "
+                f"{100 * threshold:.0f}%, hard floor "
+                f"{KERNEL_FLOORS.get(family, 0.0):.1f}x)")
     return failures
 
 
