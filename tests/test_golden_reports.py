@@ -22,14 +22,21 @@ import numpy as np
 import pytest
 
 from repro.core.stack import run_rcr_stack
-from repro.obs import Telemetry
+from repro.obs import MetricsRegistry, SampledTracer, Telemetry, render_prometheus
 from repro.obs.summarize import main as obs_main
 from repro.parallel import SerialExecutor
 from repro.qos.rra import RRA_FALLBACK, solve_frame
+from repro.qos.mobility import GilbertElliottConfig
 from repro.qos.scheduler import Scheduler
-from repro.qos.traffic import ServiceClass
+from repro.qos.traffic import MMPPConfig, ServiceClass
 from repro.resilience import FaultSpec
-from repro.serve import SchedulerShard, ShardConfig
+from repro.serve import (
+    ArrivalConfig,
+    QoSService,
+    SchedulerShard,
+    ServeConfig,
+    ShardConfig,
+)
 from repro.serve.queueing import FrameRequest
 
 from .conftest import GOLDEN_DIR
@@ -164,4 +171,52 @@ def test_rra_frames_golden(update_goldens):
     """Pins the exact B&B and lp-round answers of ~200 serving frames —
     the tier-1 guard against an LP-oracle edit that moves a vertex."""
     _check_golden("rra_frames.json", {"frames": _rra_frame_rows()},
+                  update_goldens)
+
+
+#: histograms that time wall clock; every other series of a seeded
+#: service run is a pure function of the seed
+_WALL_CLOCK_HISTOGRAMS = ("serve.solver_time_s", "parallel.map_seconds")
+
+
+def _serve_overload_series() -> dict:
+    """A seeded overload-shaped service with telemetry installed: 12 cells
+    at 20 Hz plus a 10x MMPP burst, handover storms and solver faults.
+
+    Returns its Prometheus exposition minus the wall-clock histograms
+    (every counter, gauge and window, and the ``serve.frame_latency_s``
+    histograms), plus the shards' simulated-latency series and windows
+    and the report summary.
+    """
+    config = ServeConfig(
+        n_cells=12, seed=5, tick_s=0.1,
+        arrivals=ArrivalConfig(
+            base_rate_hz=20.0, batch_ues=125,
+            mmpp=MMPPConfig(idle_rate_hz=2.0, burst_rate_hz=20.0,
+                            mean_idle_s=2.5, mean_burst_s=1.2),
+            handover=GilbertElliottConfig(p_good_to_bad=0.2, p_bad_to_good=0.6),
+            storm_ues=250),
+        shard=ShardConfig(max_depth=20, max_age_s=2.0))
+    telemetry = Telemetry(SampledTracer(0.05, 5), MetricsRegistry())
+    service = QoSService(config)
+    with telemetry.install():
+        report = service.run(6.0, chaos=FaultSpec(exception_rate=0.3, nan_rate=0.1))
+    snapshot = telemetry.metrics.snapshot()
+    snapshot["histograms"] = {
+        key: hist for key, hist in snapshot["histograms"].items()
+        if key.split("{")[0] not in _WALL_CLOCK_HISTOGRAMS}
+    return {
+        "prometheus": render_prometheus(snapshot).splitlines(),
+        "latency_series": report.latency_series.to_dict(),
+        "latency_windows": [shard.latency_window.to_dict() for shard in service.shards],
+        "report": _scrub(report.to_dict()),
+    }
+
+
+def test_serve_overload_series_golden(update_goldens):
+    """Pins every deterministic telemetry series of an overloaded,
+    fault-injected service: arrivals, sheds by cause, frames by rung,
+    breaker and overload states, SLO burn, and the simulated-latency
+    histograms with their sums and exemplars."""
+    _check_golden("serve_overload_series.json", _serve_overload_series(),
                   update_goldens)
