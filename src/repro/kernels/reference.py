@@ -25,6 +25,7 @@ from repro.kernels.gram import apply_adjoint, apply_operator
 from repro.linalg.matrix_utils import frobenius_inner
 from repro.linalg.psd import symmetrize
 from repro.nn.network import Sequential
+from repro.qos.rra import RRAProblem, RRAResult
 from repro.verify.linear_bounds import _backward_bound, extract_affine_relu_stack
 
 __all__ = [
@@ -42,6 +43,7 @@ __all__ = [
     "sample_distribution_swarm_reference",
     "simplex_standard_form_reference",
     "solve_lp_reference",
+    "solve_rra_greedy_reference",
 ]
 
 
@@ -416,3 +418,76 @@ def solve_lp_reference(problem: LPProblem, max_iter: int = 10000) -> Solution:
         if col_neg[j] >= 0:
             x[j] -= x_std[col_neg[j]]
     return Solution(x=x, objective=obj_std + const, iterations=0, converged=True)
+
+
+# ---------------------------------------------------------------------------
+# Greedy RRA rung (repro.qos.rra.solve_rra_greedy)
+# ---------------------------------------------------------------------------
+
+
+def solve_rra_greedy_reference(problem: RRAProblem) -> RRAResult:
+    """The original four-deep greedy loop — the equivalence baseline of
+    :func:`repro.qos.rra.solve_rra_greedy`.
+
+    Phase 1 gives each deficit user its best free block at max power;
+    phase 2 fills the rest by marginal rate.  Blocks are scanned from a
+    ``set`` (ascending for small ints) and only a strictly greater gain
+    replaces the incumbent, so ties keep the first candidate and a NaN
+    first candidate is never replaced.
+    """
+    rates = problem.rate_table()
+    p_max_idx = int(np.argmax(problem.power_levels_mw))
+    n_b = problem.n_blocks
+    choice = np.full(n_b, -1, dtype=int)
+    remaining_power = problem.total_power_mw
+    user_rates = np.zeros(problem.n_users)
+    free = set(range(n_b))
+    mins = problem.min_rates()
+
+    def assign(u: int, b: int, p: int) -> None:
+        nonlocal remaining_power
+        choice[b] = u * problem.n_levels + p
+        user_rates[u] += rates[u, b, p]
+        remaining_power -= float(problem.power_levels_mw[p])
+        free.discard(b)
+
+    # phase 1: QoS floors
+    progress = True
+    while progress:
+        progress = False
+        deficits = mins - user_rates
+        order = np.argsort(-deficits)
+        for u in order:
+            if deficits[u] <= 0 or not free:
+                continue
+            best_b = max(free, key=lambda b: rates[u, b, p_max_idx])
+            if problem.power_levels_mw[p_max_idx] <= remaining_power:
+                assign(int(u), best_b, p_max_idx)
+                progress = True
+            break
+        if np.all(mins - user_rates <= 0):
+            break
+    # phase 2: throughput fill
+    while free and remaining_power > 0:
+        best = None
+        for b in free:
+            for u in range(problem.n_users):
+                for p in range(problem.n_levels):
+                    if problem.power_levels_mw[p] > remaining_power:
+                        continue
+                    gain = rates[u, b, p]
+                    if best is None or gain > best[0]:
+                        best = (gain, u, b, p)
+        if best is None:
+            break
+        _, u, b, p = best
+        assign(u, b, p)
+    ev = problem.evaluate_assignment(choice)
+    return RRAResult(
+        method="greedy",
+        choice=choice,
+        total_rate=ev["total_rate"],
+        qos_ok=ev["qos_ok"],
+        power_ok=ev["power_ok"],
+        wall_time=0.0,
+    )

@@ -59,6 +59,7 @@ from repro.obs.metrics import (
     SECONDS_BUCKETS,
     Counter,
     Gauge,
+    Handles,
     Histogram,
     MetricsRegistry,
     get_metrics,
@@ -108,6 +109,7 @@ __all__ = [
     "Counter",
     "DEFAULT_SERVE_SLOS",
     "Gauge",
+    "Handles",
     "HeadSampler",
     "Histogram",
     "HistogramSeries",

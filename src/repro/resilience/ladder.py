@@ -30,7 +30,7 @@ from repro.exceptions import (
     LadderExhaustedError,
     ReproError,
 )
-from repro.obs import get_metrics, get_tracer
+from repro.obs import Handles, get_metrics, get_tracer
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.budget import Budget, BudgetReport
 from repro.resilience.retry import RetryPolicy, retry_call
@@ -97,6 +97,15 @@ class LadderResult:
         return math.fsum(t for _, t in self.rung_times)
 
 
+#: the per-answer ladder series, resolved once per (series, ladder, rung)
+_HANDLES = Handles()
+
+
+def _rung_counter(series: str, ladder: str, rung: str):
+    return _HANDLES.get((series, ladder, rung), lambda m: m.counter(
+        series, ladder=ladder, rung=rung))
+
+
 def run_ladder(
     rungs: Sequence[Rung],
     budget: Optional[Budget] = None,
@@ -124,7 +133,10 @@ def run_ladder(
     """
     if not rungs:
         raise ConfigurationError("ladder needs at least one rung")
-    rng = rng or np.random.default_rng(0)
+    if rng is None and any(r.retry is not None and r.retry.max_attempts > 1 for r in rungs):
+        # the jitter stream is shared by every rung; a ladder that cannot
+        # retry never draws from it, so it is only built when one can
+        rng = np.random.default_rng(0)
     if clock is None:
         clock = budget.clock if budget is not None else time.perf_counter
     tracer = get_tracer()
@@ -175,11 +187,10 @@ def run_ladder(
                          attempts=total_attempts)
                 tracer.event("ladder.answered", ladder=name, rung=rung.name,
                              rung_index=index, grade=rung.grade or rung.name)
-                metrics.counter("ladder.answered", ladder=name,
-                                rung=rung.name).inc()
-                metrics.histogram("ladder.rung_index",
-                                  buckets=_RUNG_INDEX_BUCKETS,
-                                  ladder=name).observe(index)
+                _rung_counter("ladder.answered", name, rung.name).inc()
+                _HANDLES.get(("ladder.rung_index", name), lambda m: m.histogram(
+                    "ladder.rung_index", buckets=_RUNG_INDEX_BUCKETS,
+                    ladder=name)).observe(index)
                 return LadderResult(
                     value=outcome.value,
                     rung=rung.name,
@@ -196,8 +207,7 @@ def run_ladder(
                 failures.append((rung.name, f"BudgetExceededError: {err}"))
                 tracer.event("ladder.rung_failed", ladder=name, rung=rung.name,
                              error="BudgetExceededError")
-                metrics.counter("ladder.rung_failed", ladder=name,
-                                rung=rung.name).inc()
+                _rung_counter("ladder.rung_failed", name, rung.name).inc()
                 if breaker is not None and index == 0:
                     breaker.record_failure()
             except ReproError as err:
@@ -208,8 +218,7 @@ def run_ladder(
                     carry = err.iterate
                 tracer.event("ladder.rung_failed", ladder=name, rung=rung.name,
                              error=type(err).__name__)
-                metrics.counter("ladder.rung_failed", ladder=name,
-                                rung=rung.name).inc()
+                _rung_counter("ladder.rung_failed", name, rung.name).inc()
                 if breaker is not None and index == 0:
                     breaker.record_failure()
 

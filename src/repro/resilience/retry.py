@@ -92,7 +92,8 @@ def retry_call(
     retried — out of time is out of time).
     """
     policy = policy or RetryPolicy()
-    rng = rng or np.random.default_rng(0)
+    if rng is None and policy.max_attempts > 1:  # a single attempt never jitters
+        rng = np.random.default_rng(0)
     outcome = RetryOutcome(value=None, attempts=0)
     for attempt in range(1, policy.max_attempts + 1):
         if budget is not None:

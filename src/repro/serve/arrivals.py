@@ -22,6 +22,7 @@ clock, keeping the DT002 "wall-clock feeds control flow" lint clean).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -165,6 +166,10 @@ class ArrivalProcess:
         self.duration_s = float(duration_s)
         self.config = config or ArrivalConfig()
         self.seed = int(seed)
+        # the class split's fixed order and normalised weights
+        self._classes = sorted(self.config.mix, key=lambda c: c.value)
+        weights = np.array([self.config.mix[c] for c in self._classes], dtype=float)
+        self._weights = weights / weights.sum()  # numlint: disable=NL002 -- ArrivalConfig.__post_init__ rejects zero-mass mixes
         self.events: List[ArrivalEvent] = self._generate()
         self._cursor = 0
 
@@ -177,15 +182,9 @@ class ArrivalProcess:
         ``n_ues``) and classes are emitted in a fixed order so the event
         stream never depends on dict iteration order.
         """
-        classes = sorted(self.config.mix, key=lambda c: c.value)
-        weights = np.array([self.config.mix[c] for c in classes], dtype=float)
-        weights = weights / weights.sum()  # numlint: disable=NL002 -- ArrivalConfig.__post_init__ rejects zero-mass mixes
-        counts = rng.multinomial(n_ues, weights)
-        return [
-            ArrivalEvent(time_s=time_s, cell=cell, service=svc,
-                         n_ues=int(k), kind=kind)
-            for svc, k in zip(classes, counts) if k > 0
-        ]
+        counts = rng.multinomial(n_ues, self._weights).tolist()
+        return [ArrivalEvent(time_s, cell, svc, k, kind)
+                for svc, k in zip(self._classes, counts) if k > 0]
 
     def _generate(self) -> List[ArrivalEvent]:
         events: List[ArrivalEvent] = []
@@ -250,7 +249,9 @@ class ArrivalProcess:
                         cfg.storm_ues, hrng, t, target, "handover"))
                 bad = nxt
                 t += cfg.handover_step_s
-        events.sort(key=lambda e: (e.time_s, e.cell, e.service.value, e.kind))
+        # (time, cell, class value, kind); ``_value_`` is the member's
+        # value without the ``Enum.value`` descriptor call
+        events.sort(key=operator.attrgetter("time_s", "cell", "service._value_", "kind"))
         return events
 
     # ---- consumption ---------------------------------------------------------

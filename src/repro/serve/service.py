@@ -242,15 +242,23 @@ class QoSService:
 
     # ---- the loop ------------------------------------------------------------
     def _offer(self, events) -> None:
-        metrics = get_metrics()
+        """Admit one tick's events: one :meth:`AdmissionQueue.offer_many`
+        per cell, in event order, and one ``serve.arrivals`` bump per kind
+        (request ids follow the event order, as one-by-one offers had)."""
+        by_cell: Dict[int, List[FrameRequest]] = {}
+        arrivals: Dict[str, int] = {}
+        request_id = self._next_request_id
         for ev in events:
-            req = FrameRequest(
-                request_id=self._next_request_id, cell=ev.cell,
-                service=ev.service, n_ues=ev.n_ues,
-                enqueued_at_s=ev.time_s, kind=ev.kind)
-            self._next_request_id += 1
-            self.shards[ev.cell].queue.offer(req)
-            metrics.counter("serve.arrivals", kind=ev.kind).inc(ev.n_ues)
+            by_cell.setdefault(ev.cell, []).append(FrameRequest(
+                request_id, ev.cell, ev.service, ev.n_ues, ev.time_s, ev.kind))
+            request_id += 1
+            arrivals[ev.kind] = arrivals.get(ev.kind, 0) + ev.n_ues
+        self._next_request_id = request_id
+        for cell, requests in by_cell.items():
+            self.shards[cell].queue.offer_many(requests)
+        metrics = get_metrics()
+        for kind, n_ues in arrivals.items():
+            metrics.counter("serve.arrivals", kind=kind).inc(n_ues)
 
     def _tick(self, events, chaos: Optional[FaultSpec]) -> None:
         """One service tick: admit, expire, observe, solve, absorb,
