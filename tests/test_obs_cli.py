@@ -6,9 +6,16 @@ import json
 
 import pytest
 
-from repro.obs import Telemetry, get_metrics, render_prometheus, use_metrics, watch
+from repro.obs import (
+    Telemetry,
+    get_metrics,
+    render_ops_table,
+    render_prometheus,
+    use_metrics,
+    watch,
+)
 from repro.obs.summarize import load_trace, main as obs_main
-from repro.serve import QoSService, ServeConfig
+from repro.serve import QoSService, ServeConfig, ShardConfig
 from repro.serve.arrivals import ArrivalConfig
 
 pytestmark = pytest.mark.obs
@@ -163,6 +170,34 @@ class TestReport:
         assert "healthy=" in text
         assert "cell" in text and "breaker" in text and "p99" in text
         assert "urllc-latency" in text    # the SLO table rides along
+
+    def test_ops_table_shows_shed_causes(self):
+        """Each shard row carries its shed UEs by cause (depth eviction /
+        age expiry), for all classes and for URLLC, from ``QueueStats``."""
+        svc = QoSService(ServeConfig(
+            n_cells=2, seed=5, tick_s=0.1,
+            shard=ShardConfig(max_depth=3, max_age_s=0.3),
+            arrivals=ArrivalConfig(base_rate_hz=40.0, batch_ues=6)))
+        svc.run(2.0)
+        health = svc.health()
+        for snap, shard in zip(health["shards"], svc.shards):
+            stats = shard.queue.stats
+            assert snap["shed_ues"] == {
+                "depth": {c.value: n for c, n in stats.shed_depth.items()},
+                "age": {c.value: n for c, n in stats.shed_age.items()}}
+        rows = render_ops_table(health).splitlines()
+        header = next(line for line in rows if "shed d/a" in line)
+        assert "urllc d/a" in header
+        for snap in health["shards"]:
+            row = next(line for line in rows if line.split()[:1] == [str(snap["cell"])])
+            depth = sum(snap["shed_ues"]["depth"].values())
+            age = sum(snap["shed_ues"]["age"].values())
+            assert depth + age > 0
+            assert row.split()[-2] == f"{depth}/{age}"
+        # a recorded snapshot without the split still renders
+        old = {**health, "shards": [{k: v for k, v in s.items() if k != "shed_ues"}
+                                    for s in health["shards"]]}
+        assert render_ops_table(old).splitlines()[4].split()[-2:] == ["-", "-"]
 
     def test_jsonl_recording_renders_last_or_all(self, tmp_path, capsys):
         _, health, _ = _serve_trace(tmp_path)

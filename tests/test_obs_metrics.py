@@ -8,6 +8,7 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.obs import (
     ITERATION_BUCKETS,
+    Handles,
     MetricsRegistry,
     get_metrics,
     record_solver_outcome,
@@ -135,6 +136,35 @@ class TestRegistry:
 # ---------------------------------------------------------------------------
 # Ambient registry + solver-outcome helper
 # ---------------------------------------------------------------------------
+
+
+class TestHandles:
+    def test_resolves_once_per_registry(self):
+        handles = Handles()
+        resolved = []
+
+        def resolve(reg):
+            resolved.append(reg)
+            return reg.counter("hits", cell=1)
+
+        first, second = MetricsRegistry(), MetricsRegistry()
+        with use_metrics(first):
+            handles.get("hits", resolve).inc()
+            handles.get("hits", resolve).inc(2)
+        with use_metrics(second):
+            handles.get("hits", resolve).inc()
+        assert resolved == [first, second]
+        assert first.counter_value("hits", cell=1) == 3.0
+        assert second.counter_value("hits", cell=1) == 1.0
+
+    def test_reset_drops_handles(self):
+        handles = Handles()
+        reg = MetricsRegistry()
+        with use_metrics(reg):
+            handles.get("h", lambda m: m.histogram("lat")).observe(1.0)
+            reg.reset()
+            handles.get("h", lambda m: m.histogram("lat")).observe(2.0)
+        assert reg.snapshot()["histograms"]["lat"]["count"] == 1
 
 
 class TestAmbientRegistry:

@@ -132,6 +132,15 @@ _QUEUE_OPS = st.lists(st.one_of(
     st.tuples(st.just("expire")),
 ), max_size=60)
 
+#: one tick of a cell: offer a batch of (class, n_ues) requests, take k
+#: and requeue the first j of them (a dropped frame), or expire by age
+_BATCH_OPS = st.lists(st.one_of(
+    st.tuples(st.just("offer"), st.lists(
+        st.tuples(st.sampled_from(SHED_ORDER), st.integers(1, 40)), max_size=12)),
+    st.tuples(st.just("take"), st.integers(0, 4), st.integers(0, 4)),
+    st.tuples(st.just("expire")),
+), max_size=30)
+
 
 def _queued_ues(q, svc):
     return sum(r.n_ues for r in q._lanes[svc])
@@ -174,6 +183,47 @@ class TestAdmissionQueueProperties:
                 assert q.stats.offered.get(svc, 0) == (
                     q.stats.shed_depth.get(svc, 0) + q.stats.shed_age.get(svc, 0)
                     + taken[svc] - requeued[svc] + _queued_ues(q, svc)), svc
+
+    @settings(max_examples=150, deadline=None)
+    @given(max_depth=st.integers(1, 6), ops=_BATCH_OPS)
+    def test_batch_offer_equals_sequential_offers(self, max_depth, ops):
+        """``offer_many`` (one tick's arrivals for a cell) leaves lanes,
+        ``QueueStats`` and the shed counters exactly as one ``offer`` per
+        request, with the same verdicts, across takes, requeues and
+        age expiry."""
+        queues, registries = {}, {}
+        for mode in ("batch", "sequential"):
+            telemetry = Telemetry.recording()
+            with telemetry.install():
+                q = AdmissionQueue(cell=3, max_depth=max_depth, max_age_s=1.0)
+                verdicts = []
+                now, rid = 0.0, 0
+                for kind, *args in ops:
+                    if kind == "offer":
+                        batch = [_req(rid + i, svc, t=now, cell=3, n_ues=n)
+                                 for i, (svc, n) in enumerate(args[0])]
+                        rid += len(batch)
+                        if mode == "batch":
+                            q.offer_many(batch, verdicts)
+                        else:
+                            verdicts.extend(q.offer(r) for r in batch)
+                        now += 0.3
+                    elif kind == "take":
+                        q.requeue(q.take(args[0])[:args[1]])
+                    else:
+                        q.expire(now)
+            queues[mode] = (q, verdicts)
+            registries[mode] = telemetry.metrics.snapshot()["counters"]
+        (bq, bv), (sq, sv) = queues["batch"], queues["sequential"]
+        assert bv == sv
+        assert bq._lanes == sq._lanes
+        assert bq.stats == sq.stats
+        for table in ("offered", "shed_depth", "shed_age"):
+            assert list(getattr(bq.stats, table)) == list(getattr(sq.stats, table))
+        assert registries["batch"] == registries["sequential"]
+        shed_counted = sum(v for k, v in registries["batch"].items()
+                           if k.startswith("serve.queue.shed"))
+        assert shed_counted == sum(bq.stats.shed_ues(svc) for svc in SHED_ORDER)
 
 
 # ---------------------------------------------------------------------------
