@@ -205,6 +205,21 @@ class _HistSlot:
         if exemplar is not None and kept is not None:
             self.exemplar = exemplar(kept)
 
+    def percentiles(self, edges: Tuple[float, ...]) -> Dict[str, float]:
+        """p50/p95/p99 of this slot's (usually merged) counts; zeros when
+        empty, so report shapes stay stable on idle services."""
+        if self.count == 0:
+            return {"p50": 0.0, "p95": 0.0, "p99": 0.0, "n": 0.0}
+        return {
+            "p50": bucket_quantile(edges, self.counts, self.count,
+                                   self.min, self.max, 0.50),
+            "p95": bucket_quantile(edges, self.counts, self.count,
+                                   self.min, self.max, 0.95),
+            "p99": bucket_quantile(edges, self.counts, self.count,
+                                   self.min, self.max, 0.99),
+            "n": float(self.count),
+        }
+
     def merge_from(self, other: "_HistSlot") -> None:
         for i, n in enumerate(other.counts):
             self.counts[i] += n
@@ -275,18 +290,7 @@ class RollingHistogram(_TimeRing):
     def percentiles(self) -> Dict[str, float]:
         """p50/p95/p99 over the live window (zeros when empty, so report
         shapes stay stable on idle services)."""
-        m = self._merged()
-        if m.count == 0:
-            return {"p50": 0.0, "p95": 0.0, "p99": 0.0, "n": 0.0}
-        return {
-            "p50": bucket_quantile(self.buckets, m.counts, m.count,
-                                   m.min, m.max, 0.50),
-            "p95": bucket_quantile(self.buckets, m.counts, m.count,
-                                   m.min, m.max, 0.95),
-            "p99": bucket_quantile(self.buckets, m.counts, m.count,
-                                   m.min, m.max, 0.99),
-            "n": float(m.count),
-        }
+        return self._merged().percentiles(self.buckets)
 
     def exemplar(self) -> Optional[dict]:
         """The exemplar of the window's max observation, if any."""
@@ -304,7 +308,7 @@ class RollingHistogram(_TimeRing):
             "sum": m.sum,
             "min": None if m.count == 0 else m.min,
             "max": None if m.count == 0 else m.max,
-            "percentiles": self.percentiles(),
+            "percentiles": m.percentiles(self.buckets),
             "exemplar": m.exemplar,
         }
 
@@ -388,18 +392,7 @@ class HistogramSeries:
                     t1: float = math.inf) -> Dict[str, float]:
         """p50/p95/p99 over services in ``[t0, t1)`` (zeros when empty,
         mirroring ``ServeReport.latency_percentiles``)."""
-        m = self._merged(t0, t1)
-        if m.count == 0:
-            return {"p50": 0.0, "p95": 0.0, "p99": 0.0, "n": 0.0}
-        return {
-            "p50": bucket_quantile(self.buckets, m.counts, m.count,
-                                   m.min, m.max, 0.50),
-            "p95": bucket_quantile(self.buckets, m.counts, m.count,
-                                   m.min, m.max, 0.95),
-            "p99": bucket_quantile(self.buckets, m.counts, m.count,
-                                   m.min, m.max, 0.99),
-            "n": float(m.count),
-        }
+        return self._merged(t0, t1).percentiles(self.buckets)
 
     def exemplar(self, t0: float = 0.0,
                  t1: float = math.inf) -> Optional[dict]:

@@ -337,6 +337,7 @@ class SchedulerShard:
 
     def snapshot(self, now_s: float) -> dict:
         """JSON-ready health view of this shard."""
+        window = self.latency_window._merged()
         return {
             "cell": self.cell,
             "state": self.overload.state,
@@ -356,8 +357,8 @@ class SchedulerShard:
                 for cause, table in (("depth", self.queue.stats.shed_depth),
                                      ("age", self.queue.stats.shed_age))},
             "transitions": len(self.overload.transitions),
-            "latency": self.latency_window.percentiles(),
-            "exemplar": self.latency_window.exemplar(),
+            "latency": window.percentiles(self.latency_window.buckets),
+            "exemplar": window.exemplar,
             "rung_usage": dict(sorted(self.rung_counts.items())),
         }
 
