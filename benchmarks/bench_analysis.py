@@ -34,10 +34,11 @@ _REPEATS = 3
 _FULL_SRC_CAP_S = 10.0
 
 
-def measure_analysis() -> list:
+def measure_analysis(keys=None) -> list:
     """Time the analyzer per tier and per scope; pure, importable by the gate.
 
-    Returns rows ``{scope, families, wall_s, files, findings}``.  Timings
+    Returns rows ``{scope, families, wall_s, files, findings}``, only those
+    whose ``scope/families`` label is in ``keys`` when it is given.  Timings
     are best-of-``_REPEATS``; findings counts are asserted stable so a
     timing row can never silently measure a broken analyzer.
     """
@@ -51,6 +52,9 @@ def measure_analysis() -> list:
     ]
     rows = []
     for scope, paths, families in workloads:
+        label = "+".join(families) if families else "both"
+        if keys is not None and f"{scope}/{label}" not in keys:
+            continue
         result, wall = best_of(
             lambda p=paths, f=families: analyze_paths(
                 p, families=f, root=REPO_ROOT
@@ -60,7 +64,7 @@ def measure_analysis() -> list:
         assert not result.parse_errors, result.parse_errors
         rows.append({
             "scope": scope,
-            "families": "+".join(families) if families else "both",
+            "families": label,
             "wall_s": round(wall, 3),
             "files": result.files_checked,
             "findings": len(result.findings),

@@ -63,84 +63,93 @@ def _sdp_batch(rng, b=BATCH, n=4):
     return c, eq_stacks, eq_rhs
 
 
-def measure_firstorder() -> list:
+def measure_firstorder(keys=None) -> list:
     """Time the batched fast path against the per-problem rungs.
 
     Pure measurement (no printing, no pytest) so ``tools/bench_gate.py``
-    can replay it.  Returns one row per family with ``speedup``,
-    certification counts, and the ``miscertified`` invariant — the
-    number of entries flagged certified whose objective disagrees with
-    the reference rung, which must always be 0.
+    can replay it.  Returns one row per family (only the families in
+    ``keys`` when given) with ``speedup``, certification counts, and the
+    ``miscertified`` invariant — the number of entries flagged certified
+    whose objective disagrees with the reference rung, which must always
+    be 0.  Every family's data is drawn whichever families run, so a
+    filtered run measures the same problems.
     """
     rows = []
     rng = np.random.default_rng(0)
+    p, q, lo, hi = _box_qp_batch(rng)
+    c, eq_stacks, eq_rhs = _sdp_batch(rng)
+    q_drift = q + 0.01 * rng.standard_normal(q.shape)
+
+    def wanted(family):
+        return keys is None or family in keys
 
     # --- box QP: batched FISTA vs per-problem projected gradient -------
-    p, q, lo, hi = _box_qp_batch(rng)
-    t0 = time.perf_counter()
-    fast = box_qp_fista_batch(p, q, lo, hi)
-    t_fast = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    ref_obj = np.array([solve_box_qp(p[i], q[i], lo[i], hi[i]).objective
-                        for i in range(BATCH)])
-    t_ref = time.perf_counter() - t0
-    ok = np.asarray(fast.certified)
-    mis = int(np.sum(np.abs(fast.objective[ok] - ref_obj[ok]) > AGREE_TOL))
-    rows.append({
-        "family": "box_qp_b256", "batch": BATCH,
-        "t_batched_s": t_fast, "t_perproblem_s": t_ref,
-        "speedup": t_ref / max(t_fast, 1e-12),
-        "certified": int(np.sum(ok)), "rejected": int(BATCH - np.sum(ok)),
-        "miscertified": mis,
-    })
+    if wanted("box_qp_b256") or wanted("box_qp_warm_b256"):
+        t0 = time.perf_counter()
+        fast = box_qp_fista_batch(p, q, lo, hi)
+        t_fast = time.perf_counter() - t0
+    if wanted("box_qp_b256"):
+        t0 = time.perf_counter()
+        ref_obj = np.array([solve_box_qp(p[i], q[i], lo[i], hi[i]).objective
+                            for i in range(BATCH)])
+        t_ref = time.perf_counter() - t0
+        ok = np.asarray(fast.certified)
+        mis = int(np.sum(np.abs(fast.objective[ok] - ref_obj[ok]) > AGREE_TOL))
+        rows.append({
+            "family": "box_qp_b256", "batch": BATCH,
+            "t_batched_s": t_fast, "t_perproblem_s": t_ref,
+            "speedup": t_ref / max(t_fast, 1e-12),
+            "certified": int(np.sum(ok)), "rejected": int(BATCH - np.sum(ok)),
+            "miscertified": mis,
+        })
 
     # --- SDP: batched Burer-Monteiro vs per-problem ADMM ---------------
-    c, eq_stacks, eq_rhs = _sdp_batch(rng)
-    t0 = time.perf_counter()
-    # every sweep advances the whole batch, so a handful of slow
-    # instances would otherwise spend 2000 sweeps on 250 already-solved
-    # problems; the cap converts those stragglers into honest rejections
-    sdp = solve_sdp_firstorder_batch(c, eq_stacks, eq_rhs, max_iter=600)
-    t_fast = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    ref_sols = [solve_sdp_general(c[i], list(eq_stacks[i]), eq_rhs[i])
-                for i in range(BATCH)]
-    t_ref = time.perf_counter() - t0
-    sdp_ref = np.array([s.objective for s in ref_sols])
-    # an unconverged ADMM answer is no yardstick; certified fast-path
-    # entries are judged only against references that converged
-    ref_ok = np.array([s.converged for s in ref_sols])
-    ok = np.asarray(sdp.certified)
-    both = ok & ref_ok
-    mis = int(np.sum(np.abs(sdp.objective[both] - sdp_ref[both]) > AGREE_TOL))
-    rows.append({
-        "family": "sdp_b256", "batch": BATCH,
-        "t_batched_s": t_fast, "t_perproblem_s": t_ref,
-        "speedup": t_ref / max(t_fast, 1e-12),
-        "certified": int(np.sum(ok)), "rejected": int(BATCH - np.sum(ok)),
-        "ref_unconverged": int(BATCH - np.sum(ref_ok)),
-        "miscertified": mis,
-    })
+    if wanted("sdp_b256"):
+        t0 = time.perf_counter()
+        # every sweep advances the whole batch, so a handful of slow
+        # instances would otherwise spend 2000 sweeps on 250 already-solved
+        # problems; the cap converts those stragglers into honest rejections
+        sdp = solve_sdp_firstorder_batch(c, eq_stacks, eq_rhs, max_iter=600)
+        t_fast = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        ref_sols = [solve_sdp_general(c[i], list(eq_stacks[i]), eq_rhs[i])
+                    for i in range(BATCH)]
+        t_ref = time.perf_counter() - t0
+        sdp_ref = np.array([s.objective for s in ref_sols])
+        # an unconverged ADMM answer is no yardstick; certified fast-path
+        # entries are judged only against references that converged
+        ref_ok = np.array([s.converged for s in ref_sols])
+        ok = np.asarray(sdp.certified)
+        both = ok & ref_ok
+        mis = int(np.sum(np.abs(sdp.objective[both] - sdp_ref[both]) > AGREE_TOL))
+        rows.append({
+            "family": "sdp_b256", "batch": BATCH,
+            "t_batched_s": t_fast, "t_perproblem_s": t_ref,
+            "speedup": t_ref / max(t_fast, 1e-12),
+            "certified": int(np.sum(ok)), "rejected": int(BATCH - np.sum(ok)),
+            "ref_unconverged": int(BATCH - np.sum(ref_ok)),
+            "miscertified": mis,
+        })
 
     # --- warm start: frame-to-frame re-solve on drifted data -----------
-    q_drift = q + 0.01 * rng.standard_normal(q.shape)
-    t0 = time.perf_counter()
-    cold = box_qp_fista_batch(p, q_drift, lo, hi)
-    t_cold = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    warm = box_qp_fista_batch(p, q_drift, lo, hi, x0=fast.x)
-    t_warm = time.perf_counter() - t0
-    ok = np.asarray(warm.certified)
-    mis = int(np.sum(np.abs(warm.objective[ok] - cold.objective[ok]) > AGREE_TOL))
-    rows.append({
-        "family": "box_qp_warm_b256", "batch": BATCH,
-        "t_batched_s": t_warm, "t_perproblem_s": t_cold,
-        "speedup": t_cold / max(t_warm, 1e-12),
-        "iters_cold": int(np.max(cold.iterations)),
-        "iters_warm": int(np.max(warm.iterations)),
-        "certified": int(np.sum(ok)), "rejected": int(BATCH - np.sum(ok)),
-        "miscertified": mis,
-    })
+    if wanted("box_qp_warm_b256"):
+        t0 = time.perf_counter()
+        cold = box_qp_fista_batch(p, q_drift, lo, hi)
+        t_cold = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        warm = box_qp_fista_batch(p, q_drift, lo, hi, x0=fast.x)
+        t_warm = time.perf_counter() - t0
+        ok = np.asarray(warm.certified)
+        mis = int(np.sum(np.abs(warm.objective[ok] - cold.objective[ok]) > AGREE_TOL))
+        rows.append({
+            "family": "box_qp_warm_b256", "batch": BATCH,
+            "t_batched_s": t_warm, "t_perproblem_s": t_cold,
+            "speedup": t_cold / max(t_warm, 1e-12),
+            "iters_cold": int(np.max(cold.iterations)),
+            "iters_warm": int(np.max(warm.iterations)),
+            "certified": int(np.sum(ok)), "rejected": int(BATCH - np.sum(ok)),
+            "miscertified": mis,
+        })
     return rows
 
 

@@ -252,17 +252,22 @@ def _bench_simplex_lp_stack() -> dict:
             "speedup": t_ref / max(t_fast, 1e-12)}
 
 
-def measure_kernels() -> list:
-    """Run every kernel family once; pure so ``tools/bench_gate.py`` can
-    replay the identical workload and compare against the committed
-    snapshot."""
-    return [
-        _bench_sdp_gram_projection(),
-        _bench_verify_batch(),
-        _bench_swarm_update(),
-        _bench_simplex_lp(),
-        _bench_simplex_lp_stack(),
-    ]
+#: family -> its bench, in run order
+_FAMILIES = {
+    "sdp_gram_projection": _bench_sdp_gram_projection,
+    "verify_batch_crown_ibp": _bench_verify_batch,
+    "pso_swarm_update": _bench_swarm_update,
+    "simplex_lp": _bench_simplex_lp,
+    "simplex_lp_stack": _bench_simplex_lp_stack,
+}
+
+
+def measure_kernels(keys=None) -> list:
+    """Run every kernel family once, or only the families in ``keys``;
+    pure so ``tools/bench_gate.py`` can replay the identical workload and
+    compare against the committed snapshot."""
+    return [bench() for family, bench in _FAMILIES.items()
+            if keys is None or family in keys]
 
 
 def test_kernel_speedups(request):

@@ -162,9 +162,13 @@ def measure_recording_overhead() -> dict:
     }
 
 
-def measure_obs_overhead() -> List[dict]:
-    """Both gate rows, replayed by ``tools/bench_gate.py``."""
-    return [measure_noop_overhead(), measure_recording_overhead()]
+def measure_obs_overhead(keys=None) -> List[dict]:
+    """Both gate rows, or those whose mode is in ``keys``; replayed by
+    ``tools/bench_gate.py``."""
+    modes = {"noop": measure_noop_overhead,
+             "recording_windowed": measure_recording_overhead}
+    return [measure() for mode, measure in modes.items()
+            if keys is None or mode in keys]
 
 
 def _print_rows(rows: List[dict]) -> None:

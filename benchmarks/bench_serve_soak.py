@@ -134,19 +134,23 @@ def _run_scenario(scenario, cfg, duration_s, chaos, executor=None,
     return row
 
 
-def measure_serve_soak():
+def measure_serve_soak(keys=None):
     """Pure gate-scale measurement replayed by ``tools/bench_gate.py``.
 
-    Returns the two committed rows (baseline, chaos+burst).  Everything
-    the gate compares is simulated — deterministic given the seed — so a
-    row that moves means service *behavior* changed, not the scheduler.
+    Returns the two committed rows (baseline, chaos+burst), or those of
+    them whose scenario is in ``keys``; the chaos row always needs the
+    baseline run for its recovery anchor.  Everything the gate compares
+    is simulated — deterministic given the seed — so a row that moves
+    means service *behavior* changed, not the scheduler.
     """
     baseline = _run_scenario("baseline", _gate_config(burst=False),
                              _GATE_DURATION_S, chaos=None)
-    chaotic = _run_scenario("chaos-burst", _gate_config(burst=True),
-                            _GATE_DURATION_S, chaos=CHAOS,
-                            baseline_p99=baseline["p99_latency_s"])
-    return [baseline, chaotic]
+    rows = [baseline]
+    if keys is None or "chaos-burst" in keys:
+        rows.append(_run_scenario("chaos-burst", _gate_config(burst=True),
+                                  _GATE_DURATION_S, chaos=CHAOS,
+                                  baseline_p99=baseline["p99_latency_s"]))
+    return [r for r in rows if keys is None or r["scenario"] in keys]
 
 
 def measure_fleet_soak(executor=None):

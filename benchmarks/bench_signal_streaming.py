@@ -125,14 +125,20 @@ def _bench_streaming_stft() -> dict:
             "speedup": t_ref / t_str}  # numlint: disable=NL002 -- measured wall time of real work, strictly positive
 
 
-def measure_signal_streaming() -> list:
-    """Run every streaming family once; pure so ``tools/bench_gate.py``
-    can replay it against the committed snapshot."""
-    return [
-        _bench_overlap_save(),
-        _bench_multistage_decimate(),
-        _bench_streaming_stft(),
-    ]
+#: family -> its bench, in run order
+_FAMILIES = {
+    "overlap_save_fir": _bench_overlap_save,
+    "multistage_decimate": _bench_multistage_decimate,
+    "streaming_stft": _bench_streaming_stft,
+}
+
+
+def measure_signal_streaming(keys=None) -> list:
+    """Run every streaming family once, or only the families in ``keys``;
+    pure so ``tools/bench_gate.py`` can replay it against the committed
+    snapshot."""
+    return [bench() for family, bench in _FAMILIES.items()
+            if keys is None or family in keys]
 
 
 def test_signal_streaming_bench(request):

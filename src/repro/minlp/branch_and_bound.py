@@ -22,9 +22,14 @@ from repro.exceptions import InfeasibleError, UnboundedError
 
 __all__ = ["BnBResult", "BnBNode", "branch_and_bound", "most_fractional_index"]
 
-# bounding oracle: (lo, hi) -> (bound_value, relaxed_solution) or raises
-# InfeasibleError when the node region is empty.
-BoundFn = Callable[[np.ndarray, np.ndarray], tuple[float, np.ndarray]]
+# bounding oracle: (lo, hi, parent handle, prune threshold) ->
+# (bound_value, relaxed_solution, handle) or raises InfeasibleError when the
+# node region is empty.  The handle is whatever the oracle wants the node's
+# children to be bounded from (the engine only stores it on them; None is
+# fine); a node whose bound the oracle proves to reach the threshold may
+# raise InfeasibleError instead, since it prunes either way.
+BoundFn = Callable[[np.ndarray, np.ndarray, object, float],
+                   tuple[float, np.ndarray, object]]
 
 
 @dataclass(order=True)
@@ -36,6 +41,8 @@ class BnBNode:
     lo: np.ndarray = field(compare=False, default=None)
     hi: np.ndarray = field(compare=False, default=None)
     depth: int = field(compare=False, default=0)
+    #: the parent's bound handle, held until this node is popped
+    handle: object = field(compare=False, default=None)
 
 
 @dataclass(frozen=True)
@@ -58,15 +65,37 @@ class BnBResult:
 
 
 def most_fractional_index(x: np.ndarray, integer_indices: FrozenSet[int], tol: float = 1e-6) -> int | None:
-    """Branching rule: the integer coordinate farthest from integrality."""
-    best_i, best_frac = None, tol
-    for i in sorted(integer_indices):
-        frac = abs(x[i] - round(x[i]))
-        # distance from nearest integer, maximized at 0.5
-        if frac > best_frac:
-            best_frac = frac
-            best_i = i
-    return best_i
+    """Branching rule: the integer coordinate farthest from integrality
+    (the first in sorted order on ties; None when none is more than
+    ``tol`` from an integer)."""
+    return _most_fractional(np.asarray(x), _index_array(integer_indices), tol)
+
+
+def _index_array(integer_indices: FrozenSet[int]) -> np.ndarray:
+    return np.array(sorted(integer_indices), dtype=np.intp)
+
+
+def _most_fractional(x: np.ndarray, idx: np.ndarray, tol: float = 1e-6) -> int | None:
+    """:func:`most_fractional_index` over the sorted index array ``idx``.
+
+    ``np.rint`` rounds half to even like Python's ``round``, and
+    ``argmax`` takes the first maximum; a distance that is not above
+    ``tol`` (NaN included) never wins."""
+    if not idx.size:
+        return None
+    v = x[idx]
+    frac = np.abs(v - np.rint(v))
+    frac = np.where(frac > tol, frac, -np.inf)
+    j = int(frac.argmax())
+    return int(idx[j]) if frac[j] > -np.inf else None
+
+
+def _snap(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """A copy of ``x`` with the ``idx`` coordinates rounded half to even;
+    ``+ 0.0`` turns ``np.rint``'s -0.0 into the 0.0 ``round`` stores."""
+    snapped = x.copy()
+    snapped[idx] = np.rint(snapped[idx]) + 0.0
+    return snapped
 
 
 def branch_and_bound(
@@ -88,7 +117,9 @@ def branch_and_bound(
     Parameters
     ----------
     bound_fn:
-        Relaxation oracle returning ``(lower_bound, x_relaxed)`` for a box.
+        Relaxation oracle ``(lo, hi, parent_handle, threshold) ->
+        (lower_bound, x_relaxed, handle)`` for a box (see ``BoundFn``);
+        ``threshold`` is the current prune level ``best_obj - gap_tol``.
     objective_fn / feasible_fn:
         Evaluate and accept candidate incumbents.
     lo, hi:
@@ -103,6 +134,7 @@ def branch_and_bound(
     lo = np.asarray(lo, dtype=np.float64).copy()
     hi = np.asarray(hi, dtype=np.float64).copy()
     counter = itertools.count()
+    idx = _index_array(integer_indices)
 
     best_x: Optional[np.ndarray] = None
     best_obj = np.inf
@@ -110,7 +142,7 @@ def branch_and_bound(
     pruned = 0
 
     try:
-        root_bound, root_x = bound_fn(lo, hi)
+        root_bound, _, _ = bound_fn(lo, hi, None, np.inf)
     except InfeasibleError:
         return BnBResult(None, np.inf, np.inf, 0, 0, True, clock() - start)
 
@@ -145,7 +177,8 @@ def branch_and_bound(
             continue
         explored += 1
         try:
-            bound, x_rel = bound_fn(node.lo, node.hi)
+            bound, x_rel, handle = bound_fn(node.lo, node.hi, node.handle,
+                                            best_obj - gap_tol)
         except InfeasibleError:
             pruned += 1
             continue
@@ -153,21 +186,15 @@ def branch_and_bound(
             pruned += 1
             continue
         # integral relaxed point -> incumbent and exact bound for the node
-        branch_i = most_fractional_index(x_rel, integer_indices)
+        branch_i = _most_fractional(x_rel, idx)
         if branch_i is None:
-            snapped = x_rel.copy()
-            for i in integer_indices:
-                snapped[i] = round(snapped[i])
-            try_incumbent(snapped)
+            try_incumbent(_snap(x_rel, idx))
             continue
         # primal heuristic
         if incumbent_fn is not None:
             try_incumbent(incumbent_fn(x_rel, node.lo, node.hi))
         else:
-            snapped = x_rel.copy()
-            for i in integer_indices:
-                snapped[i] = round(snapped[i])
-            try_incumbent(snapped)
+            try_incumbent(_snap(x_rel, idx))
         # branch
         val = x_rel[branch_i]
         left_hi = node.hi.copy()
@@ -175,9 +202,11 @@ def branch_and_bound(
         right_lo = node.lo.copy()
         right_lo[branch_i] = np.ceil(val)
         if left_hi[branch_i] >= node.lo[branch_i] - 1e-12:
-            heapq.heappush(heap, BnBNode(bound, next(counter), node.lo.copy(), left_hi, node.depth + 1))
+            heapq.heappush(heap, BnBNode(bound, next(counter), node.lo.copy(), left_hi,
+                                         node.depth + 1, handle))
         if right_lo[branch_i] <= node.hi[branch_i] + 1e-12:
-            heapq.heappush(heap, BnBNode(bound, next(counter), right_lo, node.hi.copy(), node.depth + 1))
+            heapq.heappush(heap, BnBNode(bound, next(counter), right_lo, node.hi.copy(),
+                                         node.depth + 1, handle))
 
     final_lower = best_obj if best_x is not None else np.inf
     return BnBResult(

@@ -23,18 +23,21 @@ UP = math.inf
 DOWN = -math.inf
 
 
-def _run(rows, committed, *attempts, snapshot_extra=None):
+def _run(rows, committed, *attempts, snapshot_extra=None, asked=None):
     """Judge ``rows`` (all of one snapshot) on a snapshot of ``committed``
     rows; each call to the fake bench returns the next of ``attempts``
-    (the last repeats).  Returns ``(failures, calls)``."""
+    (the last repeats), filtered by its ``keys`` like a real bench.
+    Returns ``(failures, calls)``; ``asked`` collects each call's keys."""
     name = rows[0].snapshot
     module_name, func_name = rows[0].measure.split(".")
     snapshot = {"rows": committed, **(snapshot_extra or {})}
-    calls = []
+    calls = [] if asked is None else asked
 
-    def measure():
-        calls.append(1)
-        return attempts[min(len(calls), len(attempts)) - 1]
+    def measure(keys=None):
+        calls.append(keys)
+        records = attempts[min(len(calls), len(attempts)) - 1]
+        return [r for r in records
+                if keys is None or gate._label(rows[0], r) in keys]
 
     bench = SimpleNamespace(**{func_name: measure})
     failures = gate.check(name, table=rows,
@@ -116,6 +119,21 @@ def test_retries_keep_the_best_observation():
                            [{"family": "f", "wall_s": 9.0}],
                            [{"family": "f", "wall_s": 1.2}])
     assert failures == [] and calls == 2
+
+
+def test_retries_ask_the_bench_for_the_failing_keys_only():
+    """Three families: ``f`` passes at once, ``g`` recovers on the first
+    retry, ``h`` never does; ``i`` is missing from every reading."""
+    row = _row(relative=0.25, retries=2)
+    committed = [{"family": k, "speedup": 4.0} for k in "fghi"]
+    slow = [{"family": "f", "speedup": 4.0}, {"family": "g", "speedup": 1.0},
+            {"family": "h", "speedup": 1.0}]
+    recovered = [{"family": "g", "speedup": 3.9}, {"family": "h", "speedup": 1.0}]
+    asked = []
+    failures, calls = _run([row], committed, slow, recovered, asked=asked)
+    assert asked == [None, frozenset("ghi"), frozenset("hi")]
+    assert failures == ["BENCH_fake.json: h: speedup 1 fails >= 3 (committed 4)",
+                        "BENCH_fake.json: i: speedup missing from the measurement"]
 
 
 def test_missing_snapshot_fails():

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError, DimensionError, InfeasibleError
 from repro.convex import LPProblem, QPProblem, QuadraticForm
@@ -21,6 +23,7 @@ from repro.minlp import (
     solve_outer_approximation,
 )
 from repro.convex.lp import solve_lp
+from repro.minlp.branch_and_bound import _index_array, _most_fractional, _snap
 
 
 def knapsack_model():
@@ -66,6 +69,46 @@ class TestModelBasics:
         x = np.array([0.9, 0.5, 0.2])
         assert most_fractional_index(x, frozenset({0, 1, 2})) == 1
         assert most_fractional_index(np.array([1.0, 2.0]), frozenset({0, 1})) is None
+
+
+def _most_fractional_loop(x, integer_indices, tol=1e-6):
+    """The branching rule's per-index loop, kept as the vectorized form's
+    oracle: Python ``round`` (half to even), first maximum wins."""
+    best_i, best_frac = None, tol
+    for i in sorted(integer_indices):
+        frac = abs(x[i] - round(x[i]))
+        if frac > best_frac:
+            best_frac = frac
+            best_i = i
+    return best_i
+
+
+def _snap_loop(x, integer_indices):
+    snapped = x.copy()
+    for i in integer_indices:
+        snapped[i] = round(snapped[i])
+    return snapped
+
+
+#: halves and near-halves make rounding ties, repeats make argmax ties,
+#: tiny negatives round to a zero whose sign the snap must not keep
+_COORD = st.one_of(
+    st.sampled_from([0.5, 1.5, -0.5, -2.5, 2.0, 0.0, -0.0, -1e-9, 0.25, 0.75, 3.5]),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.lists(_COORD, min_size=1, max_size=12).flatmap(
+    lambda xs: st.tuples(st.just(np.array(xs)),
+                         st.frozensets(st.integers(0, len(xs) - 1)),
+                         st.sampled_from([1e-6, 0.0, 0.25, 0.5]))))
+def test_vectorized_branching_and_snap_match_the_loops(case):
+    x, integer_indices, tol = case
+    idx = _index_array(integer_indices)
+    assert (_most_fractional(x, idx, tol)
+            == most_fractional_index(x, integer_indices, tol)
+            == _most_fractional_loop(x, integer_indices, tol))
+    assert _snap(x, idx).tobytes() == _snap_loop(x, integer_indices).tobytes()
 
 
 class TestMILP:

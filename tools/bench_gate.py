@@ -5,8 +5,8 @@ Each :class:`Row` of :data:`TABLE` names a committed snapshot
 (``benchmarks/results/BENCH_*.json``), the bench function that measures
 it again, the key fields and metric it compares, which direction is
 better, and its tolerance.  :func:`check` loads a snapshot, runs its
-bench, re-runs it while a row fails and has retries left (each key keeps
-its best observation), and judges every row.  A missing snapshot, or a
+bench, re-runs it for the keys whose rows fail and have retries left
+(each key keeps its best observation), and judges every row.  A missing snapshot, or a
 committed key missing from the measurement, fails the gate.
 
 Run from the repo root::
@@ -164,17 +164,20 @@ def passes(row: Row, value: float, lim: float) -> bool:
 def judge(rows, snapshot: dict, measure) -> list:
     """Measure, retry and judge the ``rows`` of one snapshot.
 
-    Returns ``(row, label, committed, measured, limit, ok)`` per judged
-    key.  ``measured`` is the best reading over the attempts, or for an
-    ``equal`` row its first breach (else its last reading), and None for
-    a key the bench did not report.
+    The first attempt calls ``measure()``; a retry calls
+    ``measure(keys=...)`` with only the labels of the rows that failed
+    and have retries left.  Returns ``(row, label, committed, measured,
+    limit, ok)`` per judged key.  ``measured`` is the best reading over
+    the attempts, or for an ``equal`` row its first breach (else its last
+    reading), and None for a key the bench did not report.
     """
     committed = {_label(rows[0], r): r for r in snapshot["rows"]}
     readings: dict = {}
+    retry = None
     for attempt in range(max(r.retries for r in rows) + 1):
         if attempt:
-            print(f"(retry {attempt}: re-measuring rows outside their limit)")
-        for record in measure():
+            print(f"(retry {attempt}: re-measuring {', '.join(sorted(retry))})")
+        for record in measure() if retry is None else measure(keys=retry):
             label = _label(rows[0], record)
             for i, row in enumerate(rows):
                 if row.metric in record:
@@ -197,8 +200,9 @@ def judge(rows, snapshot: dict, measure) -> list:
                 ok = value is not None and passes(row, value, lim)
                 verdicts.append((row, label, (base or {}).get(row.metric),
                                  value, lim, ok))
-        if all(ok or row.better == "equal" or row.retries <= attempt
-               for row, *_, ok in verdicts):
+        retry = frozenset(label for row, label, *_, ok in verdicts
+                          if not (ok or row.better == "equal" or row.retries <= attempt))
+        if not retry:
             break
     return verdicts
 
