@@ -13,8 +13,8 @@ one lockstep (stacked) simplex whose every member is byte-identical to
 its own :func:`solve_lp` call.  Given a parent's :class:`NodeHandle`,
 :func:`solve_lp` bounds a branch-and-bound node from the parent's final
 tableau: a few dual-simplex pivots (:func:`screen_node`) may prove the
-node prunes, and every other node gets the same cold solve, so no tree
-changes.
+node prunes or reach its optimum, and only the nodes they leave
+unproven get the cold two-phase solve.
 """
 
 from __future__ import annotations
@@ -218,6 +218,12 @@ def _drive_out_artificials(tableau: np.ndarray, basis: np.ndarray, n: int) -> No
                 basis[i] = j
 
 
+def _feas_tol(b: np.ndarray) -> float:
+    """The feasibility tolerance ``1e-7 max(1, max|b|)`` the cold phase 1
+    judges a right-hand side ``b`` by."""
+    return 1e-7 * max(1.0, float(np.max(np.abs(b), initial=0.0)))
+
+
 def _simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray,
              max_iter: int) -> Raw:
     """Two-phase simplex on ``min c^T x``, ``A x = b``, ``x >= 0``:
@@ -236,8 +242,7 @@ def _simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     tableau = _phase1_tableau(a, b)
     basis = np.arange(n, n + m)
     iterations = _pivot(tableau, basis, n + m, max_iter)
-    feas_tol = 1e-7 * max(1.0, float(np.max(np.abs(b), initial=0.0)))
-    if tableau[m, -1] < -feas_tol:
+    if tableau[m, -1] < -_feas_tol(b):
         raise InfeasibleError(f"phase-1 objective {-tableau[m, -1]:.3e} > 0: infeasible")
     _drive_out_artificials(tableau, basis, n)
 
@@ -351,17 +356,18 @@ class _StandardForm:
     upper: np.ndarray
     n_eq: int
 
-    def solution(self, raw: Raw) -> Solution:
-        """The :class:`Solution` of a :func:`_simplex` result on this
-        form.  It carries the final tableau as a :class:`NodeHandle`
-        where :func:`screen_node` can use one: every row has a slack (no
-        equality rows) and no artificial stayed in the basis."""
+    def solution(self, raw: Raw, status: str = "optimal") -> Solution:
+        """The :class:`Solution` of a :func:`_simplex` (or warm
+        :func:`screen_node`) result on this form.  It carries the final
+        tableau as a :class:`NodeHandle` where :func:`screen_node` can
+        use one: every row has a slack (no equality rows) and no
+        artificial stayed in the basis."""
         z, objective, iterations, tableau, basis = raw
         x = z[self.col_pos] + self.shift
         x[self.free] -= z[self.col_neg]
         screenable = basis.size and not self.n_eq and basis.max() < tableau.shape[1] - 1
         return Solution(x=x, objective=objective + self.const, iterations=iterations,
-                        converged=True,
+                        converged=True, status=status,
                         handle=NodeHandle(self, tableau, basis) if screenable else None)
 
 
@@ -436,20 +442,21 @@ def solve_lp(problem: LPProblem, max_iter: int = 10000, *,
     ``parent`` makes this a branch-and-bound node LP: it is the parent
     node's ``Solution.handle``, and ``problem`` differs from the parent's
     LP only in ``lo``/``hi``.  The standard form is then patched from the
-    parent's, and :func:`screen_node` tries to prove the node prunes
-    against ``threshold`` (raising :class:`ScreenedNode`) before the cold
-    solve runs; a solved node's answer is byte-identical to a call
-    without ``parent``.
+    parent's, and :func:`screen_node` restarts from the parent's tableau:
+    it raises :class:`ScreenedNode` when it proves the node prunes
+    against ``threshold``, or answers the node from its warm basis (a
+    ``Solution`` with ``status="warm"``); only a node it leaves unproven
+    gets the cold solve.
     """
     form = _standard_form(problem, None if parent is None else parent.form)
-    if parent is not None and screen_node(parent, form, threshold):
-        raise ScreenedNode("node LP screened: it bounds at or above the prune "
-                           "threshold, or is infeasible")
+    warm = None if parent is None else screen_node(parent, form, threshold, max_iter)
+    if warm is not None:
+        return form.solution(warm, status="warm")
     return form.solution(_simplex(form.a, form.b, form.c, max_iter))
 
 
 # ---------------------------------------------------------------------------
-# Branch-and-bound node LPs: screened from the parent's tableau, else cold
+# Branch-and-bound node LPs: answered from the parent's tableau, else cold
 # ---------------------------------------------------------------------------
 
 #: dual-simplex pivots :func:`screen_node` makes at most before it hands
@@ -469,7 +476,8 @@ _CERTIFY_FACTOR = 2.0
 @dataclass(frozen=True)
 class NodeHandle:
     """A solved LP's standard form with its final phase-2 tableau and
-    basis: what :func:`screen_node` restarts a child node from."""
+    basis (from the cold solve or a warm answer): what
+    :func:`screen_node` restarts a child node from."""
 
     form: _StandardForm
     tableau: np.ndarray
@@ -525,8 +533,7 @@ def _certifies_infeasible(u: np.ndarray, form: _StandardForm) -> bool:
         return False
     charge = -(ua[short] @ _column_caps(form)[short]) if short.any() else 0.0
     kappa = u[flipped].max()
-    feas_tol = 1e-7 * max(1.0, float(np.max(np.abs(b))))
-    return bool(kappa > 0 and -(u @ b) - charge > _CERTIFY_FACTOR * feas_tol * kappa)
+    return bool(kappa > 0 and -(u @ b) - charge > _CERTIFY_FACTOR * _feas_tol(b) * kappa)
 
 
 def _dual_bound(t: np.ndarray, form: _StandardForm) -> float:
@@ -550,42 +557,76 @@ def _dual_bound(t: np.ndarray, form: _StandardForm) -> float:
     return float(y @ form.b) + float(d[short] @ _column_caps(form)[short])
 
 
-def screen_node(parent: NodeHandle, form: _StandardForm, threshold: float) -> bool:
-    """Whether a few dual-simplex pivots from ``parent``'s final tableau
-    prove the node LP ``form`` prunes: its bound reaches ``threshold``
-    (by ``_SCREEN_MARGIN``) or it is infeasible (by a certificate).
+def _warm_optimum(t: np.ndarray, basis: np.ndarray, form: _StandardForm,
+                  pivots: int, max_iter: int) -> Raw | None:
+    """``form``'s optimum from tableau ``t`` (a copy :func:`screen_node`
+    owns), whose ``basis`` the dual pivots turned primal feasible.
+
+    The primal :func:`_pivot` clears any reduced cost the dual ratio
+    test left below ``-_EPS``, so the basis is optimal by the cold
+    solve's own test.  The point ``z`` it reads is judged from the form,
+    not the tableau: it is accepted only when ``z >= -feas_tol`` and
+    ``|A z - b| <= feas_tol`` with the cold solve's ``feas_tol``; None
+    otherwise.  The objective is ``c.z``, as :func:`_simplex` reports.
+    """
+    cols = t.shape[1] - 1
+    pivots += _pivot(t, basis, cols, max_iter)
+    z = np.zeros(cols)
+    z[basis] = t[:-1, -1]
+    feas_tol = _feas_tol(form.b)
+    if z.min() < -feas_tol or np.abs(form.a @ z - form.b).max() > feas_tol:
+        return None
+    return z, float(form.c @ z), pivots, t, basis
+
+
+def screen_node(parent: NodeHandle, form: _StandardForm, threshold: float,
+                max_iter: int) -> Raw | None:
+    """Bound the node LP ``form`` by a few dual-simplex pivots from
+    ``parent``'s final tableau.  Three outcomes:
+
+    * raises :class:`ScreenedNode`: the node prunes, because its bound
+      reaches ``threshold`` (by ``_SCREEN_MARGIN``, proven by
+      :func:`_dual_bound`) or a row certifies it infeasible;
+    * returns the node's optimum (what :func:`_simplex` returns): the
+      basis turned primal feasible below the threshold, and
+      :func:`_warm_optimum` finished and accepted it;
+    * returns None, "unproven": the pivot cap was reached, or a dual
+      bound, certificate or warm point fell short; the cold solve runs.
 
     ``form`` must share ``parent.form``'s matrix (a node patched from
     its parent's form), and every row has a slack (``parent`` exists
     only then), so the tableau's slack columns hold the basis inverse:
     the child's right-hand side in the parent basis is
     ``T[:, slacks] @ b``.  The pivots keep the basis dual feasible, so
-    its objective steers them; a prune by bound is then proven by
-    :func:`_dual_bound`.  False means "unproven": the basis turned
-    primal feasible below the threshold, the dual bound or a row's
-    certificate fell short, or the pivot cap was reached.
+    its objective steers them.
     """
     tableau = parent.tableau
     m = parent.basis.size
     cols = tableau.shape[1] - 1
     if form.a is not parent.form.a:
-        return False
+        return None
     t = tableau.copy()
+    basis = parent.basis.copy()
     t[:, -1] = tableau[:, cols - m:cols] @ form.b
     floor = threshold - form.const + _SCREEN_MARGIN * max(1.0, abs(threshold))
     rhs, reduced = t[:m, -1], t[m, :cols]
     for pivots in range(_SCREEN_PIVOTS + 1):
         if -t[m, -1] >= floor:
-            return _dual_bound(t, form) >= floor
+            if _dual_bound(t, form) >= floor:
+                raise ScreenedNode("node LP screened: it bounds at or above the "
+                                   "prune threshold")
+            return None
         leave = int(rhs.argmin())
         if rhs[leave] >= -_EPS:
-            return False
+            return _warm_optimum(t, basis, form, pivots, max_iter)
         row = t[leave, :cols]
         entering = (row < -_EPS).nonzero()[0]
         if not entering.size:
-            return _certifies_infeasible(t[leave, cols - m:cols], form)
+            if _certifies_infeasible(t[leave, cols - m:cols], form):
+                raise ScreenedNode("node LP screened: a row certifies it infeasible")
+            return None
         if pivots == _SCREEN_PIVOTS:
-            return False
+            return None
         # dual ratio test: the entering column keeps every reduced cost >= 0
         gain = np.maximum(reduced[entering], 0.0)
         ratios = gain / -row[entering]  # numlint: disable=NL002 -- entries < -_EPS
@@ -594,7 +635,8 @@ def screen_node(parent: NodeHandle, form: _StandardForm, threshold: float) -> bo
         factors = t[:, enter].copy()
         factors[leave] = 0.0
         t -= factors[:, None] * t[leave]
-    return False
+        basis[leave] = enter
+    return None
 
 
 def _solve_batch(problems: Sequence[LPProblem], max_iter: int,

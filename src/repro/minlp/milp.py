@@ -33,13 +33,13 @@ def solve_milp(
 
     Every other node LP is solved from its parent's tableau
     (``solve_lp(..., parent=, threshold=)``): its standard form is
-    patched from the parent's, and a node that a few dual-simplex pivots
-    prove prunes skips its cold solve (a pruned node either way, so the
-    tree is unchanged).
-    Adds the root, screened and cold node LPs to the
+    patched from the parent's, and a few dual-simplex pivots either
+    prove the node prunes or reach its optimum; only the nodes they
+    leave unproven get a cold solve.
+    Adds the root, screened, warm and cold node LPs to the
     ``minlp.node_lps{outcome}`` counter once per call.
     """
-    lps = {"root": 0, "screened": 0, "cold": 0}
+    lps = {"root": 0, "screened": 0, "warm": 0, "cold": 0}
 
     def solve_root() -> Solution | Exception:
         nonlocal root
@@ -63,13 +63,16 @@ def solve_milp(
                 raise solved
             return solved.objective, solved.x, solved.handle
         relaxed = model.relaxation(extra_lo=lo, extra_hi=hi)
-        lps["cold"] += 1
+        outcome = "cold"
         try:
             sol = solve_lp(relaxed, parent=parent, threshold=threshold)
+            if sol.status == "warm":
+                outcome = "warm"
         except ScreenedNode:
-            lps["cold"] -= 1
-            lps["screened"] += 1
+            outcome = "screened"
             raise
+        finally:
+            lps[outcome] += 1
         return sol.objective, sol.x, sol.handle
 
     try:

@@ -252,11 +252,16 @@ def _count_lp_calls(monkeypatch) -> dict:
     return calls
 
 
-#: BnBResult of the solver before the root-reuse and repair-skip changes:
-#: (seed, max_nodes) -> (nonzero x, objective hex, explored, pruned, converged)
+#: BnBResult of the solver with warm node answers:
+#: (seed, max_nodes) -> (nonzero x, objective hex, explored, pruned, converged).
+#: Cold node solves gave seed 0 the same x and objective in 31 explored
+#: nodes (15 pruned); its tree differs at a branching near-tie (two
+#: complementary binaries one ulp apart in fractionality, see
+#: docs/PERFORMANCE.md "Warm node answers").  Seed 2 is node-capped, and
+#: its incumbent was [5, 7, 9, 13, 21] at -0x1.f0536a62acae9p+23.
 _PINNED_BNB = {
-    (0, 200): ([9, 13, 21, 25, 27], "-0x1.0f143d88e3c22p+24", 31, 15, True),
-    (2, 200): ([5, 7, 9, 13, 21], "-0x1.f0536a62acae9p+23", 200, 56, False),
+    (0, 200): ([9, 13, 21, 25, 27], "-0x1.0f143d88e3c22p+24", 65, 32, True),
+    (2, 200): ([1, 7, 9, 15, 23], "-0x1.f00da61e662b8p+23", 200, 56, False),
 }
 
 

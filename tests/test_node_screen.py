@@ -1,18 +1,22 @@
-"""Branch-and-bound node LPs screened by a dual simplex from the parent's
-tableau (``repro.convex.lp.screen_node``), and the cold solve kept as the
-answer for every node that is not proven to prune.
+"""Branch-and-bound node LPs bounded by a dual simplex from the parent's
+tableau (``repro.convex.lp.screen_node``): a node is pruned, answered
+from the warm basis, or left to the cold two-phase solve.
 
 Four properties:
 
 * a node's standard form patched from its parent's is byte-equal to a
   fresh build, and falls back to one when the bound pattern differs;
-* soundness replay: every node the screen prunes is cold-solved as well
-  and must prune there too (on the 200-frame ``rra_frames.json`` corpus
-  and on hypothesis MILPs);
-* the margin, the dual bound and the infeasibility certificate sit
-  exactly where they are documented, on LPs whose bound and phase-1
-  optimum are known in closed form;
-* whole trees are identical to trees built with the screen switched off.
+* soundness replay: every node the screen prunes or answers is
+  cold-solved as well; a pruned node must prune there too, and a warm
+  answer must match the cold objective within 1e-9 relative with ``x``
+  inside the node's box and rows (on the 200-frame ``rra_frames.json``
+  corpus and on hypothesis MILPs);
+* the margin, the dual bound, the infeasibility certificate and the
+  warm answer's acceptance test sit exactly where they are documented,
+  on LPs whose bound, phase-1 optimum or vertex is known in closed form;
+* whole trees agree with trees whose every node LP is solved cold: the
+  same ``converged``, and objectives within 1e-9 relative where both
+  converged.
 """
 
 from __future__ import annotations
@@ -23,10 +27,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.convex.lp as lp
+import repro.minlp.milp as milp
 from repro.convex import LPProblem
 from repro.exceptions import InfeasibleError, ReproError
 from repro.minlp import MILPModel, solve_milp
 from repro.obs import MetricsRegistry, use_metrics
+
+#: a warm answer's objective must match the cold solve's within this
+#: share of ``max(1, |cold|)``
+_REL_TOL = 1e-9
 
 _FIELDS = ("a", "b", "c", "col_pos", "free", "col_neg", "shift", "upper")
 
@@ -101,30 +110,61 @@ def test_rra_node_forms_are_patched_from_the_root():
 
 
 # ---------------------------------------------------------------------------
-# Soundness replay: every screened node is cold-solved too and must prune
+# Soundness replay: every screened or warm node is cold-solved too
 # ---------------------------------------------------------------------------
 
+def _assert_feasible(problem: LPProblem, x: np.ndarray) -> None:
+    """``x`` lies in ``problem``'s box and rows within the cold solve's
+    feasibility tolerance for the node's standard form."""
+    tol = lp._feas_tol(lp._standard_form(problem).b)
+    misses = [problem.lo - x, x - problem.hi]
+    if problem.g is not None:
+        misses.append(problem.g @ x - problem.h)
+    if problem.a is not None:
+        misses.append(np.abs(problem.a @ x - problem.b))
+    assert max(np.max(miss) for miss in misses) <= tol
+
+
 class _Replay:
-    """Wraps ``screen_node`` at its import site: each node it screens is
-    also solved cold, which must raise InfeasibleError or bound at or
-    above the threshold the screen was given."""
+    """Wraps ``solve_lp`` where ``solve_milp`` looks it up, and solves
+    every node LP the screen settles cold as well: a pruned node must
+    raise InfeasibleError cold or bound at or above the threshold the
+    screen was given; a warm answer must match the cold objective within
+    ``_REL_TOL`` relative, and its ``x`` must be feasible."""
 
     def __init__(self, monkeypatch):
-        self.screen = lp.screen_node
-        self.calls = self.screened = 0
-        monkeypatch.setattr(lp, "screen_node", self)
+        self.solve = milp.solve_lp
+        self.calls = self.screened = self.warm = 0
+        self.worst = 0.0
+        monkeypatch.setattr(milp, "solve_lp", self)
 
-    def __call__(self, parent, form, threshold):
+    def __call__(self, problem, *args, **kwargs):
+        if kwargs.get("parent") is None:
+            return self.solve(problem, *args, **kwargs)
         self.calls += 1
-        verdict = self.screen(parent, form, threshold)
-        if verdict:
+        try:
+            sol = self.solve(problem, *args, **kwargs)
+        except lp.ScreenedNode:
             self.screened += 1
             try:
-                _, objective, *_ = lp._simplex(form.a, form.b, form.c, 10000)
+                cold = lp.solve_lp(problem)
             except InfeasibleError:
-                return verdict
-            assert objective + form.const >= threshold
-        return verdict
+                cold = None
+            assert cold is None or cold.objective >= kwargs["threshold"]
+            raise
+        if sol.status == "warm":
+            self.warm += 1
+            cold = lp.solve_lp(problem)
+            gap = abs(sol.objective - cold.objective) / max(1.0, abs(cold.objective))
+            self.worst = max(self.worst, gap)
+            assert gap <= _REL_TOL, (sol.objective, cold.objective)
+            _assert_feasible(problem, sol.x)
+        return sol
+
+    def report(self, name: str) -> str:
+        return (f"\n{name}: {self.calls} node LPs, {self.screened} screened and "
+                f"{self.warm} warm replayed cold (worst warm objective gap "
+                f"{self.worst:.1e} relative)")
 
 
 @pytest.fixture(scope="module")
@@ -139,26 +179,22 @@ def corpus_models() -> list:
             for task, _ in _rra_frame_corpus(cell)]
 
 
-def _result_bytes(res) -> tuple:
-    x = None if res.x is None else res.x.tobytes()
-    return (x, np.float64(res.objective).tobytes(), np.float64(res.lower_bound).tobytes(),
-            res.nodes_explored, res.nodes_pruned, res.converged)
-
-
 def test_corpus_replay_every_screened_node_prunes_cold(monkeypatch, corpus_models):
+    """Every pruned node prunes cold, and every warm answer matches its
+    cold solve."""
     replay = _Replay(monkeypatch)
     for model, max_nodes in corpus_models:
         solve_milp(model, max_nodes=max_nodes)
-    print(f"\nrra_frames corpus: {replay.screened} of {replay.calls} screened "
-          "node LPs replayed cold, all prune")
-    assert replay.screened > 100
+    print(replay.report("rra_frames corpus"))
+    assert replay.screened > 100 and replay.warm > 100
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_models(), st.sampled_from([2, 5, 200]))
 def test_milp_replay_every_screened_node_prunes_cold(model, max_nodes):
-    """Random MILPs: node-capped trees, infeasible children, and models
-    with equality rows (which the screen must leave to the cold solve)."""
+    """Random MILPs: continuous variables, node-capped trees, infeasible
+    children, and models with equality rows (which the screen must leave
+    to the cold solve).  Warm answers are replayed as well."""
     with pytest.MonkeyPatch.context() as mp:
         replay = _Replay(mp)
         try:
@@ -166,13 +202,13 @@ def test_milp_replay_every_screened_node_prunes_cold(model, max_nodes):
         except ReproError:   # an unbounded or stalled LP: not this test's subject
             pass
     if model.lp.a is not None:
-        assert replay.screened == 0
+        assert replay.screened == replay.warm == 0
 
 
 def test_integer_programs_replay_and_screen(monkeypatch):
-    """Seeded pure-integer programs over a 0..3 box: the screen fires on
-    them (so the replays are not vacuous), and each screened node prunes
-    cold."""
+    """Seeded pure-integer programs over a 0..3 box: the screen prunes
+    and answers nodes of them (so the replays are not vacuous), and each
+    one agrees with its cold solve."""
     rng = np.random.default_rng(0)
     replay = _Replay(monkeypatch)
     for _ in range(40):
@@ -183,13 +219,12 @@ def test_integer_programs_replay_and_screen(monkeypatch):
                                     lo=np.zeros(n), hi=np.full(n, 3.0)),
                           frozenset(range(n)))
         solve_milp(model)
-    print(f"\ninteger programs: {replay.screened} of {replay.calls} screened "
-          "node LPs replayed cold, all prune")
-    assert replay.screened > 0
+    print(replay.report("integer programs"))
+    assert replay.screened > 0 and replay.warm > 0
 
 
 # ---------------------------------------------------------------------------
-# The margin and the certificate, on LPs solved in closed form
+# The margin, the certificate and the warm answer, on LPs solved in closed form
 # ---------------------------------------------------------------------------
 
 def _child_of(parent_problem: LPProblem, lo=None, hi=None):
@@ -201,20 +236,36 @@ def _child_of(parent_problem: LPProblem, lo=None, hi=None):
     return parent, lp._standard_form(child, parent.form)
 
 
+def _screen(parent, form, threshold):
+    """``screen_node``'s outcome: ``"prune"``, ``"cold"`` (unproven), or
+    the warm answer's ``Solution``."""
+    try:
+        warm = lp.screen_node(parent, form, threshold, 10000)
+    except lp.ScreenedNode:
+        return "prune"
+    return "cold" if warm is None else form.solution(warm, status="warm")
+
+
+def _cold(form):
+    return form.solution(lp._simplex(form.a, form.b, form.c, 10000))
+
+
+#: ``min x`` over ``x >= 0.5``, ``x`` in [0, 2]
+_HALF = LPProblem(c=np.array([1.0]), g=np.array([[-1.0]]), h=np.array([-0.5]),
+                  lo=np.zeros(1), hi=np.array([2.0]))
+
+
 def test_bound_screen_keeps_its_margin():
-    """``min x`` over ``x >= 0.5``, ``x`` in [0, 2]; the child ``x >= 1``
-    bounds at exactly 1.  Within the margin of the threshold the node
-    goes cold (even where the cold solve would prune), clear of it the
-    screen prunes, and above the bound it never does."""
-    parent, form = _child_of(LPProblem(c=np.array([1.0]), g=np.array([[-1.0]]),
-                                       h=np.array([-0.5]), lo=np.zeros(1),
-                                       hi=np.array([2.0])), lo=np.array([1.0]))
+    """The child ``x >= 1`` of ``_HALF`` bounds at exactly 1.  Clear of
+    the margin below the threshold the screen prunes; within it, at the
+    bound and above, the node is answered from the warm basis instead
+    (even where the cold solve would prune)."""
+    parent, form = _child_of(_HALF, lo=np.array([1.0]))
     margin = lp._SCREEN_MARGIN
-    assert lp.screen_node(parent, form, 1.0 - 2.0 * margin)
-    assert not lp.screen_node(parent, form, 1.0 - 0.5 * margin)
-    assert not lp.screen_node(parent, form, 1.0)
-    assert not lp.screen_node(parent, form, np.nextafter(1.0, 2.0))
-    assert not lp.screen_node(parent, form, np.inf)
+    assert _screen(parent, form, 1.0 - 2.0 * margin) == "prune"
+    for threshold in (1.0 - 0.5 * margin, 1.0, np.nextafter(1.0, 2.0), np.inf):
+        warm = _screen(parent, form, threshold)
+        assert warm.objective == 1.0 and warm.x.tolist() == [1.0]
 
 
 @pytest.mark.parametrize("scale", [1e6, 1e-3])
@@ -229,14 +280,14 @@ def test_infeasibility_certificate_implies_the_cold_verdict(scale, ratio, certif
     child's phase-1 optimum is ``R eps`` exactly.  It is set to ``ratio``
     times the cold tolerance ``1e-7 max(1, max|b|)``; ``R = 1e6`` (rates
     in bps) and ``R = 1e-3`` put the certificate's ``kappa`` far below and
-    far above 1."""
+    far above 1.  An uncertified node goes cold, never warm."""
     feas_tol = 1e-7 * max(1.0, scale)   # max|b| = R (1 + eps) to 1e-6
     eps = ratio * feas_tol / scale
     problem = LPProblem(c=np.array([1.0]), g=np.array([[-scale]]),
                         h=np.array([-scale * (1.0 + eps)]), lo=np.zeros(1),
                         hi=np.array([2.0]))
     parent, form = _child_of(problem, hi=np.array([1.0]))
-    assert lp.screen_node(parent, form, np.inf) == certified
+    assert _screen(parent, form, np.inf) == ("prune" if certified else "cold")
     try:
         lp._simplex(form.a, form.b, form.c, 10000)
         cold = False
@@ -260,8 +311,65 @@ def test_reduced_costs_left_below_zero_are_charged_at_their_caps():
                             h=np.array([-0.5]), lo=np.zeros(2), hi=np.array([2.0, cap]))
         parent, form = _child_of(problem, lo=np.array([1.0, 0.0]))
         assert parent.tableau[-1, 1] == -delta   # x2 stayed out of the basis
-        verdicts[cap] = lp.screen_node(parent, form, 1.0 - 2.0 * margin)
-    assert verdicts == {1.0: True, 1e6: False, np.inf: False}
+        verdicts[cap] = _screen(parent, form, 1.0 - 2.0 * margin)
+    assert verdicts == {1.0: "prune", 1e6: "cold", np.inf: "cold"}
+
+
+def test_warm_answer_waits_for_a_primal_feasible_basis():
+    """The child ``x >= 0.5 + delta`` of ``_HALF`` starts at ``z = -delta``
+    in the parent's basis.  With ``delta`` past the pivot tolerance but
+    inside the cold feasibility tolerance, the form's residual check
+    would pass that point (objective 0.5); the screen must make one more
+    dual pivot and answer the cold optimum ``0.5 + delta``."""
+    delta = 50 * lp._EPS
+    parent, form = _child_of(_HALF, lo=np.array([0.5 + delta]))
+    assert delta < lp._feas_tol(form.b)
+    warm, cold = _screen(parent, form, np.inf), _cold(form)
+    assert warm.iterations == 1
+    assert warm.objective == pytest.approx(cold.objective, rel=1e-15)
+    assert warm.objective == pytest.approx(0.5 + delta, rel=1e-15)
+
+
+def test_warm_answer_is_judged_from_the_form():
+    """The warm point is read from the tableau but accepted on the form's
+    own residuals.  A parent tableau whose basis inverse drifted (one
+    entry off by 1e-3) yields a point that misses ``A z = b`` by far more
+    than the cold tolerance: the node goes cold instead."""
+    parent, form = _child_of(_HALF, lo=np.array([1.0]))
+    assert _screen(parent, form, np.inf).objective == _cold(form).objective == 1.0
+    tableau = parent.tableau.copy()
+    m, cols = parent.basis.size, tableau.shape[1] - 1
+    row = parent.basis.argmax()   # where the second row's slack is basic
+    tableau[row, cols - m + 1] += 1e-3
+    drifted = lp.NodeHandle(parent.form, tableau, parent.basis)
+    assert _screen(drifted, form, np.inf) == "cold"
+
+
+def test_warm_answer_clears_reduced_costs_the_dual_pivots_leave():
+    """``min -delta x1 + 0.1 x2`` over ``x2 - 2e-9 x1 <= 0``, ``x1`` in
+    [0, U], ``x2 >= 0``, with ``delta`` inside the pivot tolerance: the
+    slack basis (the origin) is optimal by ``_pivot``'s test, so its
+    tableau ``[A | b]`` over ``[c | 0]`` is a final tableau the parent
+    may hand down.  The child ``x2 >= 1e-8`` makes the first row leave;
+    ``x1`` (entry -2e-9, just past the tolerance) enters at dual ratio 0,
+    and dividing by that entry drives two reduced costs to -0.15 and
+    -0.25.  The primal clean-up must pivot ``x1`` up to ``U``: the
+    optimum is ``-delta U + 1e-9``, where the basis the dual pivot
+    reaches reads ``-5 delta + 1e-9``."""
+    delta, cap, floor = 5e-10, 1e6, 1e-8
+    problem = LPProblem(c=np.array([-delta, 0.1]), g=np.array([[-2e-9, 1.0]]),
+                        h=np.array([0.0]), lo=np.zeros(2), hi=np.array([cap, np.inf]))
+    root = lp._standard_form(problem)
+    m, cols = root.a.shape
+    tableau = np.vstack([np.column_stack([root.a, root.b]), np.append(root.c, 0.0)])
+    parent = lp.NodeHandle(root, tableau, np.arange(cols - m, cols))
+    child = LPProblem(c=problem.c, g=problem.g, h=problem.h,
+                      lo=np.array([0.0, floor]), hi=problem.hi)
+    form = lp._standard_form(child, root)
+    warm, cold = _screen(parent, form, np.inf), _cold(form)
+    assert warm.iterations >= 2
+    assert warm.objective == pytest.approx(cold.objective, rel=1e-12)
+    assert warm.objective == pytest.approx(-delta * cap + 0.1 * floor, rel=1e-12)
 
 
 def test_handles_only_where_a_child_can_be_screened():
@@ -271,53 +379,59 @@ def test_handles_only_where_a_child_can_be_screened():
                    lo=np.zeros(2), hi=np.full(2, 2.0))
     assert lp.solve_lp(eq).handle is None
     # a form not patched from the parent's (own matrix) is never screened
-    ineq = LPProblem(c=np.array([1.0]), g=np.array([[-1.0]]), h=np.array([-0.5]),
-                     lo=np.zeros(1), hi=np.array([2.0]))
-    parent = lp.solve_lp(ineq).handle
-    fresh = lp._standard_form(LPProblem(c=ineq.c, g=ineq.g, h=ineq.h,
-                                        lo=np.array([1.0]), hi=ineq.hi))
-    assert not lp.screen_node(parent, fresh, -np.inf)
-    assert lp.screen_node(parent, lp._standard_form(
-        LPProblem(c=ineq.c, g=ineq.g, h=ineq.h, lo=np.array([1.0]), hi=ineq.hi),
-        parent.form), 0.5)
+    parent = lp.solve_lp(_HALF).handle
+    node = LPProblem(c=_HALF.c, g=_HALF.g, h=_HALF.h, lo=np.array([1.0]), hi=_HALF.hi)
+    assert _screen(parent, lp._standard_form(node), -np.inf) == "cold"
+    assert _screen(parent, lp._standard_form(node, parent.form), 0.5) == "prune"
+    # a warm answer carries its own tableau for its children
+    warm = _screen(parent, lp._standard_form(node, parent.form), np.inf)
+    assert warm.handle.tableau is not parent.tableau
     # a stacked member's handle owns its arrays (no view into the batch)
-    batch = lp.solve_lp_batch([ineq] * lp._STACK_MIN_WIDTH)
+    batch = lp.solve_lp_batch([_HALF] * lp._STACK_MIN_WIDTH)
     assert all(sol.handle.tableau.base is None and sol.handle.basis.base is None
                for sol in batch)
 
 
 # ---------------------------------------------------------------------------
-# Whole trees: identical to the screen switched off
+# Whole trees: they agree with trees whose every node LP is solved cold
 # ---------------------------------------------------------------------------
 
-def _trees(models, monkeypatch, screen: bool) -> list:
-    with monkeypatch.context() as mp:
-        if not screen:
-            mp.setattr(lp, "screen_node", lambda parent, form, threshold: False)
-        return [_result_bytes(solve_milp(model, max_nodes=max_nodes))
-                for model, max_nodes in models]
+def _agree(warm, cold) -> bool:
+    """Two ``solve_milp`` outcomes agree: the same exception class, or the
+    same ``converged`` and, where converged, objectives within
+    ``_REL_TOL`` relative."""
+    if isinstance(warm, Exception) or isinstance(cold, Exception):
+        return type(warm) is type(cold)
+    if warm.converged != cold.converged:
+        return False
+    if not cold.converged:
+        return True
+    if warm.x is None or cold.x is None:
+        return warm.x is None and cold.x is None
+    return abs(warm.objective - cold.objective) <= _REL_TOL * max(1.0, abs(cold.objective))
 
 
-def test_corpus_trees_identical_without_the_screen(monkeypatch, corpus_models):
-    assert (_trees(corpus_models, monkeypatch, True)
-            == _trees(corpus_models, monkeypatch, False))
+def _milp_outcome(model, max_nodes, cold: bool = False):
+    with pytest.MonkeyPatch.context() as mp:
+        if cold:
+            mp.setattr(lp, "screen_node", lambda parent, form, threshold, max_iter: None)
+        try:
+            return solve_milp(model, max_nodes=max_nodes)
+        except ReproError as err:
+            return err
 
 
-def _milp_outcome(model, max_nodes):
-    try:
-        return _result_bytes(solve_milp(model, max_nodes=max_nodes))
-    except ReproError as err:
-        return ("raise", type(err))
+def test_corpus_trees_agree_with_cold_node_lps(corpus_models):
+    warm = [_milp_outcome(model, max_nodes) for model, max_nodes in corpus_models]
+    cold = [_milp_outcome(model, max_nodes, cold=True) for model, max_nodes in corpus_models]
+    assert all(_agree(w, c) for w, c in zip(warm, cold))
+    assert sum(c.converged for c in cold) > 100
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_models(), st.sampled_from([2, 5, 200]))
-def test_milp_trees_identical_without_the_screen(model, max_nodes):
-    with pytest.MonkeyPatch.context() as mp:
-        on = _milp_outcome(model, max_nodes)
-        mp.setattr(lp, "screen_node", lambda parent, form, threshold: False)
-        off = _milp_outcome(model, max_nodes)
-    assert on == off
+def test_milp_trees_agree_with_cold_node_lps(model, max_nodes):
+    assert _agree(_milp_outcome(model, max_nodes), _milp_outcome(model, max_nodes, cold=True))
 
 
 def test_node_lp_counter_splits_root_screened_and_cold():
@@ -328,7 +442,8 @@ def test_node_lp_counter_splits_root_screened_and_cold():
         res = solve_milp(_rra(0).to_milp(), max_nodes=200)
     counts = registry.counters_matching("minlp.node_lps")
     assert counts["minlp.node_lps{outcome=root}"] == 1
-    screened = counts.get("minlp.node_lps{outcome=screened}", 0)
-    cold = counts.get("minlp.node_lps{outcome=cold}", 0)
+    screened, warm, cold = (counts.get(f"minlp.node_lps{{outcome={outcome}}}", 0)
+                            for outcome in ("screened", "warm", "cold"))
     # the root node's re-bound reuses the root LP: one node LP per other node
-    assert screened > 0 and screened + cold == res.nodes_explored - 1
+    assert screened > 0 and warm > 0
+    assert screened + warm + cold == res.nodes_explored - 1
