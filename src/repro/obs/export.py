@@ -23,8 +23,10 @@ package stays dependency-free of the layers it observes.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
+from array import array
 from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
 __all__ = [
@@ -69,59 +71,141 @@ def _prom_labels(labels: Dict[str, str], extra: Optional[Dict[str, str]] = None)
     return "{" + inner + "}"
 
 
+class _Series:
+    """One snapshot key parsed once: its Prometheus name and label text."""
+
+    __slots__ = ("name", "labels", "text")
+
+    def __init__(self, key: str):
+        name, self.labels = _parse_key(key)
+        self.name = _prom_name(name)
+        self.text = _prom_labels(self.labels)
+
+    def sample(self, suffix: str = "", extra: Optional[Dict[str, str]] = None) -> str:
+        """``{name}{suffix}{labels} ``: a sample line up to its value,
+        with the ``extra`` labels merged in."""
+        labels = _prom_labels(self.labels, extra) if extra else self.text
+        return f"{self.name}{suffix}{labels} "
+
+
+def _counter_head(key: str) -> str:
+    s = _Series(key)
+    return f"# TYPE {s.name}_total counter\n{s.sample('_total')}"
+
+
+def _gauge_head(key: str) -> str:
+    s = _Series(key)
+    return f"# TYPE {s.name} gauge\n{s.sample()}"
+
+
+class _HistogramText:
+    """A histogram key's lines up to their values, for one edge list."""
+
+    __slots__ = ("edges", "head", "buckets", "inf", "sum", "count")
+
+    def __init__(self, key: str, edges):
+        s = _Series(key)
+        self.edges = list(edges)
+        self.head = f"# TYPE {s.name} histogram"
+        self.buckets = [s.sample("_bucket", {"le": repr(float(edge))})
+                        for edge in edges]
+        self.inf = s.sample("_bucket", {"le": "+Inf"})
+        self.sum = s.sample("_sum")
+        self.count = s.sample("_count")
+
+    def fits(self, edges) -> bool:
+        """Whether these lines were rendered for ``edges``: the same
+        values, and the same sign of a zero edge (``0.0 == -0.0``)."""
+        return self.edges == edges and (
+            0.0 not in edges or _bits(self.edges) == _bits(edges))
+
+
+def _bits(edges) -> bytes:
+    return array("d", edges).tobytes()
+
+
+class _WindowText:
+    """A windowed key's lines up to their values, for one kind: a rolling
+    counter's rate and total, or a summary's quantiles, count and
+    exemplar."""
+
+    __slots__ = ("counter", "head", "quantiles", "count", "exemplar")
+
+    def __init__(self, key: str, counter: bool):
+        s = _Series(key)
+        self.counter = counter
+        if counter:
+            self.head = (f"# TYPE {s.name}_rate gauge\n{s.sample('_rate')}",
+                         f"# TYPE {s.name}_window_total gauge\n"
+                         f"{s.sample('_window_total')}")
+        else:
+            self.head = f"# TYPE {s.name} summary"
+            self.quantiles = [(label, s.sample("", {"quantile": q}))
+                              for label, q in (("p50", "0.5"), ("p95", "0.95"),
+                                               ("p99", "0.99"))]
+            self.count = s.sample("_count")
+            self.exemplar = f"# EXEMPLAR {s.sample()}"
+
+
+#: section -> snapshot key -> its rendered text, for the keys of the
+#: latest snapshot only: each render keeps what it used and drops the
+#: rest, so the memo is bounded by the live series
+_memo: Dict[str, dict] = {}
+
+
 def render_prometheus(snapshot: dict) -> str:
     """Render a registry snapshot dict as Prometheus text exposition."""
+    global _memo
+    previous, memo = _memo, {}
     lines: List[str] = []
+    append = lines.append
 
-    for key, value in snapshot.get("counters", {}).items():
-        name, labels = _parse_key(key)
-        pname = _prom_name(name) + "_total"
-        lines.append(f"# TYPE {pname} counter")
-        lines.append(f"{pname}{_prom_labels(labels)} {value}")
+    for section, head in (("counters", _counter_head), ("gauges", _gauge_head)):
+        values = snapshot.get(section, {})
+        old = previous.get(section, {})
+        heads = memo[section] = {key: old.get(key) or head(key) for key in values}
+        lines.extend(map(str.__add__, heads.values(), map(format, values.values())))
 
-    for key, value in snapshot.get("gauges", {}).items():
-        name, labels = _parse_key(key)
-        pname = _prom_name(name)
-        lines.append(f"# TYPE {pname} gauge")
-        lines.append(f"{pname}{_prom_labels(labels)} {value}")
-
+    old = previous.get("histograms", {})
+    texts = memo["histograms"] = {}
     for key, hist in snapshot.get("histograms", {}).items():
-        name, labels = _parse_key(key)
-        pname = _prom_name(name)
-        lines.append(f"# TYPE {pname} histogram")
-        cum = 0
-        for edge, n in zip(hist.get("buckets", []), hist.get("counts", [])):
-            cum += n
-            lines.append(
-                f"{pname}_bucket{_prom_labels(labels, {'le': repr(float(edge))})} {cum}")
-        lines.append(
-            f"{pname}_bucket{_prom_labels(labels, {'le': '+Inf'})} {hist.get('count', 0)}")
-        lines.append(f"{pname}_sum{_prom_labels(labels)} {hist.get('sum', 0.0)}")
-        lines.append(f"{pname}_count{_prom_labels(labels)} {hist.get('count', 0)}")
+        edges = hist.get("buckets", [])
+        text = old.get(key)
+        if text is None or not text.fits(edges):
+            text = _HistogramText(key, edges)
+        texts[key] = text
+        append(text.head)
+        cum = itertools.accumulate(hist.get("counts", []), initial=0)
+        next(cum)
+        lines.extend(map(str.__add__, text.buckets, map(format, cum)))
+        count = hist.get("count", 0)
+        append(f"{text.inf}{count}\n{text.sum}{hist.get('sum', 0.0)}\n"
+               f"{text.count}{count}")
 
+    old = previous.get("windows", {})
+    texts = memo["windows"] = {}
     for key, win in snapshot.get("windows", {}).items():
-        name, labels = _parse_key(key)
-        pname = _prom_name(name)
-        kind = win.get("kind")
-        if kind == "rolling_counter":
-            lines.append(f"# TYPE {pname}_rate gauge")
-            lines.append(f"{pname}_rate{_prom_labels(labels)} {win.get('rate', 0.0)}")
-            lines.append(f"# TYPE {pname}_window_total gauge")
-            lines.append(
-                f"{pname}_window_total{_prom_labels(labels)} {win.get('total', 0.0)}")
-        else:  # rolling_histogram / histogram_series both carry percentiles
-            pcts = win.get("percentiles", {})
-            lines.append(f"# TYPE {pname} summary")
-            for label, q in (("p50", "0.5"), ("p95", "0.95"), ("p99", "0.99")):
-                if label in pcts:
-                    lines.append(
-                        f"{pname}{_prom_labels(labels, {'quantile': q})} {pcts[label]}")
-            lines.append(f"{pname}_count{_prom_labels(labels)} {win.get('count', 0)}")
-            exemplar = win.get("exemplar")
-            if exemplar:
-                lines.append(f"# EXEMPLAR {pname}{_prom_labels(labels)} "
-                             f"{json.dumps(exemplar, sort_keys=True)}")
+        counter = win.get("kind") == "rolling_counter"
+        text = old.get(key)
+        if text is None or text.counter != counter:
+            text = _WindowText(key, counter)
+        texts[key] = text
+        if counter:
+            append(f"{text.head[0]}{win.get('rate', 0.0)}")
+            append(f"{text.head[1]}{win.get('total', 0.0)}")
+            continue
+        # rolling_histogram / histogram_series both carry percentiles
+        pcts = win.get("percentiles", {})
+        append(text.head)
+        for label, line in text.quantiles:
+            if label in pcts:
+                append(f"{line}{pcts[label]}")
+        append(f"{text.count}{win.get('count', 0)}")
+        exemplar = win.get("exemplar")
+        if exemplar:
+            append(f"{text.exemplar}{json.dumps(exemplar, sort_keys=True)}")
 
+    _memo = memo
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -150,6 +234,8 @@ def format_event(rec: dict) -> str:
 
 _SHARD_COLS = ("cell", "state", "breaker", "depth", "press", "p50", "p95",
                "p99", "rungs", "dropped", "shed d/a", "urllc d/a")
+_SHARD_HEADER = " ".join(
+    f"{c:>{w}}" for c, w in zip(_SHARD_COLS, (5, 12, 10, 6, 6, 7, 7, 7, 24, 8, 13, 10)))
 
 
 def _fmt(v, width: int) -> str:
@@ -158,36 +244,25 @@ def _fmt(v, width: int) -> str:
     return f"{v!s:>{width}}"
 
 
-def _shard_row(s: dict) -> List[object]:
+def _shard_line(s: dict) -> str:
+    """One shard's row of the ops table (see ``_SHARD_COLS``)."""
     pcts = s.get("latency", {}) or {}
     rungs = s.get("rung_usage", {}) or {}
     rung_str = ",".join(f"{k}:{v}" for k, v in sorted(rungs.items())) or "-"
-    return [
-        s.get("cell", "?"),
-        s.get("state", "?"),
-        s.get("breaker", "?"),
-        s.get("depth", 0),
-        round(float(s.get("backpressure", 0.0)), 2),
-        pcts.get("p50", 0.0),
-        pcts.get("p95", 0.0),
-        pcts.get("p99", 0.0),
-        rung_str,
-        s.get("frames_dropped", 0),
-        _shed_causes(s, None),
-        _shed_causes(s, "URLLC"),
-    ]
-
-
-def _shed_causes(s: dict, service_class: Optional[str]) -> str:
-    """``depth/age`` shed UEs of one class, or of all of them (``-`` for a
-    snapshot recorded without the split)."""
     shed = s.get("shed_ues")
-    if not shed:
-        return "-"
-    return "/".join(
-        str(sum(n for cls, n in shed.get(cause, {}).items()
-                if service_class is None or cls == service_class))
-        for cause in ("depth", "age"))
+    if shed:
+        depth, age = shed.get("depth", {}), shed.get("age", {})
+        shed_all = f"{sum(depth.values())}/{sum(age.values())}"
+        shed_urllc = (f"{sum(n for cls, n in depth.items() if cls == 'URLLC')}/"
+                      f"{sum(n for cls, n in age.items() if cls == 'URLLC')}")
+    else:  # a snapshot recorded without the split
+        shed_all = shed_urllc = "-"
+    return (f"{_fmt(s.get('cell', '?'), 5)} {_fmt(s.get('state', '?'), 12)} "
+            f"{_fmt(s.get('breaker', '?'), 10)} {_fmt(s.get('depth', 0), 6)} "
+            f"{round(float(s.get('backpressure', 0.0)), 2):>6.3f} "
+            f"{_fmt(pcts.get('p50', 0.0), 7)} {_fmt(pcts.get('p95', 0.0), 7)} "
+            f"{_fmt(pcts.get('p99', 0.0), 7)} {rung_str:>24} "
+            f"{_fmt(s.get('frames_dropped', 0), 8)} {shed_all:>13} {shed_urllc:>10}")
 
 
 def render_ops_table(health: dict) -> str:
@@ -205,13 +280,9 @@ def render_ops_table(health: dict) -> str:
 
     shards = health.get("shards", [])
     if shards:
-        widths = [5, 12, 10, 6, 6, 7, 7, 7, 24, 8, 13, 10]
         out.append("")
-        out.append(" ".join(
-            f"{c:>{w}}" for c, w in zip(_SHARD_COLS, widths)))
-        for s in shards:
-            out.append(" ".join(
-                _fmt(v, w) for v, w in zip(_shard_row(s), widths)))
+        out.append(_SHARD_HEADER)
+        out.extend(map(_shard_line, shards))
 
     slo = health.get("slo", {})
     statuses = slo.get("status", slo) if isinstance(slo, dict) else {}

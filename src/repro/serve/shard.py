@@ -29,6 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -135,6 +136,16 @@ def _scaled_session(index: int, svc: ServiceClass, scale: float) -> UserSession:
         reliability=q.reliability,
         priority=q.priority,
     ))
+
+
+#: a class's name: ``_value_`` is the plain attribute behind
+#: ``ServiceClass.value``, read without a descriptor call per class
+_class_name = operator.attrgetter("_value_")
+
+
+def _by_class_name(table: Dict[ServiceClass, int]) -> Dict[str, int]:
+    """A per-class table keyed by class name, in name order."""
+    return dict(sorted(zip(map(_class_name, table), table.values())))
 
 
 #: the shard frame solve: ``QoSService`` hands each worker a slice of the
@@ -338,6 +349,7 @@ class SchedulerShard:
     def snapshot(self, now_s: float) -> dict:
         """JSON-ready health view of this shard."""
         window = self.latency_window._merged()
+        stats = self.queue.stats
         return {
             "cell": self.cell,
             "state": self.overload.state,
@@ -347,15 +359,10 @@ class SchedulerShard:
             "oldest_age_s": self.queue.oldest_age_s(now_s),
             "frames": self.frames,
             "frames_dropped": self.frames_dropped,
-            "served_ues": {svc.value: n for svc, n in
-                           sorted(self.served_ues.items(),
-                                  key=lambda kv: kv[0].value)},
+            "served_ues": _by_class_name(self.served_ues),
             # shed UEs by cause (queue-depth eviction or age expiry), by class
-            "shed_ues": {
-                cause: {svc.value: n for svc, n in
-                        sorted(table.items(), key=lambda kv: kv[0].value)}
-                for cause, table in (("depth", self.queue.stats.shed_depth),
-                                     ("age", self.queue.stats.shed_age))},
+            "shed_ues": {"depth": _by_class_name(stats.shed_depth),
+                         "age": _by_class_name(stats.shed_age)},
             "transitions": len(self.overload.transitions),
             "latency": window.percentiles(self.latency_window.buckets),
             "exemplar": window.exemplar,
