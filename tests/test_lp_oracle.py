@@ -166,6 +166,24 @@ def test_nan_bound_rejected(field):
         solve_lp(_lp(**{field: value}))
 
 
+@pytest.mark.parametrize("field", ["c", "g", "h", "a", "b"])
+def test_non_finite_data_rejected_when_template_pattern_differs(field):
+    """A node form whose bound pattern differs from its template's is
+    built afresh from the problem's own data, so that data is checked."""
+    template = lp._standard_form(_lp())
+    value = np.array(getattr(_lp(), field), dtype=float)
+    value.flat[0] = np.nan
+    node = _lp(hi=np.array([3.0, np.inf]), **{field: value})
+    with pytest.raises(NumericalInstabilityError, match=repr(field)):
+        lp._standard_form(node, template)
+
+
+def test_nan_bound_rejected_with_template():
+    template = lp._standard_form(_lp())
+    with pytest.raises(NumericalInstabilityError, match="'hi'"):
+        lp._standard_form(_lp(hi=np.array([3.0, np.nan])), template)
+
+
 def test_infinite_bounds_stay_legal():
     sol = solve_lp(_lp(lo=np.array([-np.inf, 0.0]), hi=np.array([np.inf, np.inf])))
     assert sol.converged and np.isfinite(sol.objective)
