@@ -8,9 +8,10 @@ against the committed ``benchmarks/results/BENCH_obs_overhead.json``):
   iteration), so instrumented code with tracing disabled costs within a
   few percent of bare code.  Measured as the instrumented
   :func:`repro.convex.admm.admm_consensus` against a local
-  uninstrumented replica of the same loop, with ``tol=0`` forcing every
-  run through the full ``max_iter`` sweep so both sides do identical
-  numerical work.  Budget: < 5%.
+  uninstrumented replica of the same loop.  With ``tol=0`` the kernel
+  stops once both residuals are exactly zero; the replica applies the
+  same stopping test, so both sides run the same iterations (the bench
+  asserts it, and records the count).  Budget: < 5%.
 * **recording-on windowed/sampled** — telemetry v2's full recording
   path on the serving soak: a :class:`~repro.obs.SampledTracer`, a real
   metrics registry, and the per-shard windowed instruments
@@ -28,9 +29,11 @@ against the committed ``benchmarks/results/BENCH_obs_overhead.json``):
   median scrape cost over the median interval between plain ticks, so
   host speed cancels.  Before the scrape path rendered each series' text
   once it read about 1.0 (a scrape cost a whole tick); the budget holds
-  it at half a tick.  A ``--commit-results`` run records
-  ``SCRAPE_SAMPLES`` readings in ``samples`` and fails if any of them
-  reaches the budget.
+  it at half a tick.
+
+Each row lists its readings' ratios in ``samples`` and reports the
+median reading.  A ``--commit-results`` run takes ``COMMIT_SAMPLES``
+readings per row and fails if any of them reaches the row's budget.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ import pytest
 from _harness import maybe_write_bench_json
 from conftest import banner
 from repro.convex.admm import admm_consensus, prox_box, prox_l2_squared
+from repro.kernels.workspace import ConsensusWorkspace
 from repro.obs import (
     NOOP_TRACER,
     MetricsRegistry,
@@ -65,6 +69,9 @@ pytestmark = pytest.mark.obs
 _N = 40
 _MAX_ITER = 300
 _ROUNDS = 7
+#: one solve takes about a millisecond: the no-op row times many,
+#: alternating the two sides so host drift hits both alike
+_NOOP_ROUNDS = 201
 
 #: overhead budgets the gate holds each mode to (ratio ceilings)
 NOOP_BUDGET = 1.05
@@ -76,28 +83,35 @@ _SERVE_ROUNDS = 5
 #: a scrape may cost at most half a plain tick; the committed samples
 #: (``BENCH_obs_overhead.json``) read about a third
 SCRAPE_BUDGET = 0.5
-#: readings a --commit-results run records for the scrape row
-SCRAPE_SAMPLES = 5
+#: readings a --commit-results run records for every row
+COMMIT_SAMPLES = 5
 _SCRAPE_DURATION_S = 10.0
 
 
-def _bare_admm(prox_f, prox_g, n, rho=1.0, max_iter=_MAX_ITER):
+def _bare_admm(prox_f, prox_g, n, rho=1.0, max_iter=_MAX_ITER, tol=0.0):
     """The admm_consensus loop with zero instrumentation — the baseline
     the instrumented solver is compared against.  Kept in lockstep with
-    the real kernel (same updates, same residual bookkeeping)."""
-    x = np.zeros(n)
-    z = x.copy()
-    u = np.zeros(n)
+    the real kernel (same workspace updates, same residual bookkeeping,
+    same stopping test); returns the iterates and the iteration count."""
+    ws = ConsensusWorkspace(n=n)
     prim_hist: List[float] = []
     dual_hist: List[float] = []
-    for _ in range(1, max_iter + 1):
-        x = prox_f(z - u, 1.0 / rho)  # numlint: disable=NL002 -- rho is the fixed positive ADMM penalty of this benchmark
-        z_old = z
-        z = prox_g(x + u, 1.0 / rho)  # numlint: disable=NL002 -- rho is the fixed positive ADMM penalty of this benchmark
-        u = u + x - z
-        prim_hist.append(float(np.linalg.norm(x - z)))
-        dual_hist.append(float(rho * np.linalg.norm(z - z_old)))
-    return x, z, prim_hist, dual_hist
+    for it in range(1, max_iter + 1):
+        np.subtract(ws.z, ws.u, out=ws.arg)
+        ws.x[...] = prox_f(ws.arg, 1.0 / rho)  # numlint: disable=NL002 -- rho is the fixed positive ADMM penalty of this benchmark
+        ws.z_old[...] = ws.z
+        np.add(ws.x, ws.u, out=ws.arg)
+        ws.z[...] = prox_g(ws.arg, 1.0 / rho)  # numlint: disable=NL002 -- rho is the fixed positive ADMM penalty of this benchmark
+        ws.u += ws.x
+        ws.u -= ws.z
+        prim = float(np.linalg.norm(ws.x - ws.z))
+        dual = float(rho * np.linalg.norm(ws.z - ws.z_old))
+        prim_hist.append(prim)
+        dual_hist.append(dual)
+        scale = max(1.0, float(np.linalg.norm(ws.x)), float(np.linalg.norm(ws.z)))
+        if prim <= tol * scale and dual <= tol * scale:
+            break
+    return ws.x.copy(), ws.z.copy(), it
 
 
 def _median_time(fn, rounds=_ROUNDS) -> float:
@@ -107,6 +121,21 @@ def _median_time(fn, rounds=_ROUNDS) -> float:
         fn()
         times.append(time.perf_counter() - t0)
     return statistics.median(times)
+
+
+def _interleaved_median_times(a, b, rounds=_NOOP_ROUNDS):
+    """Median times of ``a`` and ``b``, timed turn about, each going
+    first in every other round."""
+    times_a: List[float] = []
+    times_b: List[float] = []
+    turns = [(a, times_a), (b, times_b)]
+    for _ in range(rounds):
+        for fn, out in turns:
+            t0 = time.perf_counter()
+            fn()
+            out.append(time.perf_counter() - t0)
+        turns.reverse()
+    return statistics.median(times_a), statistics.median(times_b)
 
 
 def measure_noop_overhead() -> dict:
@@ -119,17 +148,18 @@ def measure_noop_overhead() -> dict:
         "tracing must be disabled for this measurement"
 
     def bare():
-        _bare_admm(prox_f, prox_g, _N)
+        return _bare_admm(prox_f, prox_g, _N)[2]
 
     def instrumented():
-        # tol=0 forces the full max_iter sweep: identical numerical work
-        admm_consensus(prox_f, prox_g, _N, max_iter=_MAX_ITER, tol=0.0)
+        return admm_consensus(prox_f, prox_g, _N, max_iter=_MAX_ITER,
+                              tol=0.0).iterations
 
-    # warm up both paths (JIT-free, but caches/allocators settle)
-    bare()
-    instrumented()
-    t_bare = _median_time(bare)
-    t_inst = _median_time(instrumented)
+    # warm up both paths (JIT-free, but caches/allocators settle) and
+    # check that they run the same iterations
+    iterations = bare()
+    assert instrumented() == iterations, \
+        "the bare replica and admm_consensus stop at different iterations"
+    t_bare, t_inst = _interleaved_median_times(bare, instrumented)
     ratio = t_inst / max(t_bare, 1e-12)
     return {
         "mode": "noop",
@@ -138,6 +168,7 @@ def measure_noop_overhead() -> dict:
         "ratio": ratio,
         "budget": NOOP_BUDGET,
         "max_iter": _MAX_ITER,
+        "iterations": iterations,
         "n": _N,
     }
 
@@ -224,27 +255,33 @@ def _scrape_ratio() -> float:
     return statistics.median(scrapes) / max(statistics.median(plain), 1e-12)
 
 
-def measure_scrape_overhead(samples: int = 1) -> dict:
-    """Scrape cost per plain tick (one gate row): ``ratio`` is the median
-    of ``samples`` readings, each from a fresh service."""
-    readings = [_scrape_ratio() for _ in range(samples)]
+def measure_scrape_overhead() -> dict:
+    """Scrape cost per plain tick, from a fresh service (one gate row)."""
     return {
         "mode": "scrape",
-        "ratio": statistics.median(readings),
-        "samples": readings,
+        "ratio": _scrape_ratio(),
         "budget": SCRAPE_BUDGET,
         "n_cells": 100,
         "duration_s": _SCRAPE_DURATION_S,
     }
 
 
-def measure_obs_overhead(keys=None, scrape_samples: int = 1) -> List[dict]:
-    """Every gate row, or those whose mode is in ``keys``; replayed by
-    ``tools/bench_gate.py``."""
+def _sampled(measure, samples: int) -> dict:
+    """The median reading of ``samples`` calls of ``measure``, with every
+    reading's ratio, in order, in ``samples``."""
+    rows = [measure() for _ in range(samples)]
+    ratios = [r["ratio"] for r in rows]
+    row = rows[ratios.index(statistics.median_low(ratios))]
+    return {**row, "samples": ratios}
+
+
+def measure_obs_overhead(keys=None, samples: int = 1) -> List[dict]:
+    """Every gate row, or those whose mode is in ``keys``, each the
+    median of ``samples`` readings; replayed by ``tools/bench_gate.py``."""
     modes = {"noop": measure_noop_overhead,
              "recording_windowed": measure_recording_overhead,
-             "scrape": lambda: measure_scrape_overhead(scrape_samples)}
-    return [measure() for mode, measure in modes.items()
+             "scrape": measure_scrape_overhead}
+    return [_sampled(measure, samples) for mode, measure in modes.items()
             if keys is None or mode in keys]
 
 
@@ -252,26 +289,24 @@ def _print_rows(rows: List[dict]) -> None:
     print(f"{'mode':<22} {'baseline':>10} {'measured':>10} {'ratio':>8} "
           f"{'budget':>8}")
     for r in rows:
-        if "samples" in r:   # the scrape row: a ratio to a plain tick
-            samples = " ".join(f"{v:.3f}" for v in r["samples"])
-            print(f"{r['mode']:<22} {'per plain tick':>21} {r['ratio']:>8.4f} "
-                  f"{r['budget']:>8.2f}  samples {samples}")
-            continue
-        print(f"{r['mode']:<22} {r['baseline_ms']:>8.2f}ms "
-              f"{r['measured_ms']:>8.2f}ms {r['ratio']:>8.4f} "
-              f"{r['budget']:>8.2f}")
+        samples = " ".join(f"{v:.3f}" for v in r["samples"])
+        # the scrape row is a ratio to a plain tick, with no times
+        times = (f"{r['baseline_ms']:>8.2f}ms {r['measured_ms']:>8.2f}ms"
+                 if "baseline_ms" in r else f"{'per plain tick':>21}")
+        print(f"{r['mode']:<22} {times} {r['ratio']:>8.4f} "
+              f"{r['budget']:>8.2f}  samples {samples}")
 
 
 def test_obs_overhead(benchmark, request):
     banner("OBS", "Telemetry overhead: no-op tracing, recording-on "
                   "windowed/sampled paths and scrape ticks")
-    samples = (SCRAPE_SAMPLES if request.config.getoption("--commit-results")
+    samples = (COMMIT_SAMPLES if request.config.getoption("--commit-results")
                else 1)
     rows = benchmark.pedantic(measure_obs_overhead, iterations=1, rounds=1,
-                              kwargs={"scrape_samples": samples})
+                              kwargs={"samples": samples})
     _print_rows(rows)
     for r in rows:
-        for ratio in r.get("samples", [r["ratio"]]):
+        for ratio in r["samples"]:
             assert ratio < r["budget"], (
                 f"{r['mode']}: ratio {ratio:.3f} is not under its budget "
                 f"{r['budget']:.2f}")

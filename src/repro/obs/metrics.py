@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Callable, Dict, Iterable, Optional, Tuple
+import operator
+from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError
 
@@ -143,10 +144,13 @@ class Histogram:
     ``buckets`` are ascending upper edges; an observation ``v`` lands in
     the first bucket with ``v <= edge`` and past the last edge in the
     overflow bucket, so ``counts`` has ``len(buckets) + 1`` entries.
-    Tracks count/sum/min/max alongside the bucket counts.
+    Tracks count/sum/min/max alongside the bucket counts, and an optional
+    **exemplar** (see :func:`repro.obs.windows.span_exemplar`) for the max
+    observation.  This is the one histogram state: the windowed
+    instruments of :mod:`repro.obs.windows` hold one per time slot.
     """
 
-    __slots__ = ("buckets", "counts", "count", "sum", "min", "max")
+    __slots__ = ("buckets", "counts", "count", "sum", "min", "max", "exemplar")
 
     def __init__(self, buckets: Iterable[float]):
         edges = tuple(float(b) for b in buckets)
@@ -155,31 +159,85 @@ class Histogram:
         if any(nxt <= prev for prev, nxt in zip(edges, edges[1:])):
             raise ConfigurationError("bucket edges must be strictly ascending")
         self.buckets = edges
-        self.counts = [0] * (len(edges) + 1)
+        self.clear()
+
+    def clear(self) -> None:
+        """Forget every observation; the bucket edges stay."""
+        self.counts = [0] * (len(self.buckets) + 1)
         self.count = 0
         self.sum = 0.0
         self.min = math.inf
         self.max = -math.inf
+        self.exemplar: Optional[dict] = None
 
-    def observe(self, v: float) -> None:
-        self.observe_many((v,))
+    @classmethod
+    def sharing(cls, buckets: Tuple[float, ...]) -> "Histogram":
+        """An empty histogram holding ``buckets``, another histogram's
+        validated edges, itself rather than a copy: the slots of a
+        windowed instrument share its one edge tuple."""
+        hist = cls.__new__(cls)
+        hist.buckets = buckets
+        hist.clear()
+        return hist
 
-    def observe_many(self, values: Iterable[float]) -> None:
+    def observe(self, v: float, exemplar: Optional[dict] = None) -> None:
+        self.observe_many((v,), None if exemplar is None else lambda _v: exemplar)
+
+    def observe_many(self, values: Iterable[float],
+                     exemplar: Optional[Callable[[float], dict]] = None) -> None:
         """Record each value in order: ``sum`` adds them left to right,
-        so a batch is bit-equal to one ``observe`` per value."""
+        so a batch is bit-equal to one ``observe`` per value.  The
+        exemplar becomes ``exemplar(v)`` of the max observation, or of the
+        first one while there is none, and is built only for the value it
+        ends up holding."""
         counts, edges = self.counts, self.buckets
         total, lo, hi, n = self.sum, self.min, self.max, 0
+        kept = None  # the value whose exemplar is held at the end
+        unset = self.exemplar is None
         for v in values:
             v = float(v)
             counts[bisect.bisect_left(edges, v)] += 1
             n += 1
-            total = total + v
+            total += v
             if v < lo:
                 lo = v
             if v > hi:
                 hi = v
+                kept = v
+            elif unset and kept is None:
+                kept = v
         self.count += n
         self.sum, self.min, self.max = total, lo, hi
+        if exemplar is not None and kept is not None:
+            self.exemplar = exemplar(kept)
+
+    @classmethod
+    def merged(cls, buckets: Tuple[float, ...],
+               hists: Sequence["Histogram"]) -> "Histogram":
+        """A new histogram over ``buckets`` (the edges every one of
+        ``hists`` has) holding ``hists`` merged in order.  The integer
+        bucket counts are summed by column (exact in any order); one pass
+        over the non-empty histograms adds ``sum`` left to right (never
+        the compensated builtin ``sum`` of Python >= 3.12), keeps the
+        least ``min``, and takes ``max`` and its exemplar (when it has
+        one) from each histogram that strictly raises the max so far."""
+        acc = cls.sharing(buckets)
+        if hists:
+            acc.counts = list(map(sum, zip(*map(_COUNTS, hists))))
+        count, total, lo, hi, exemplar = 0, 0.0, math.inf, -math.inf, None
+        for n, s, s_lo, s_hi, s_exemplar in map(_FIELDS, hists):
+            count += n
+            total += s
+            if n:
+                if s_lo < lo:
+                    lo = s_lo
+                if s_hi > hi:
+                    hi = s_hi
+                    if s_exemplar is not None:
+                        exemplar = s_exemplar
+        acc.count, acc.sum, acc.min, acc.max = count, total, lo, hi
+        acc.exemplar = exemplar
+        return acc
 
     @property
     def mean(self) -> float:
@@ -191,7 +249,10 @@ class Histogram:
                                self.min, self.max, q)
 
     def percentiles(self) -> Dict[str, float]:
-        """The standard p50/p95/p99 triple plus the sample count."""
+        """The standard p50/p95/p99 triple plus the sample count; zeros
+        when empty, so report shapes stay stable on idle services."""
+        if self.count == 0:
+            return {"p50": 0.0, "p95": 0.0, "p99": 0.0, "n": 0.0}
         return {"p50": self.quantile(0.50), "p95": self.quantile(0.95),
                 "p99": self.quantile(0.99), "n": float(self.count)}
 
@@ -204,6 +265,10 @@ class Histogram:
             "min": None if self.count == 0 else self.min,
             "max": None if self.count == 0 else self.max,
         }
+
+
+_COUNTS = operator.attrgetter("counts")
+_FIELDS = operator.attrgetter("count", "sum", "min", "max", "exemplar")
 
 
 class MetricsRegistry:

@@ -10,15 +10,15 @@ with fixed-memory ring buffers over an **injectable clock**:
 * :class:`RollingCounter` — a count over the trailing ``window_s``
   seconds, bucketed into ``n_slots`` ring slots; memory is O(slots),
   independent of event volume.
-* :class:`RollingHistogram` — a fixed-bucket histogram per ring slot;
-  merging the live slots yields windowed quantiles
-  (:func:`~repro.obs.metrics.bucket_quantile`) and carries the window's
-  **exemplar** — the trace/span id of the bucket-max observation — so a
-  slow outlier on a dashboard points back into the trace that explains
-  it.
+* :class:`RollingHistogram` — a ring of
+  :class:`~repro.obs.metrics.Histogram` slots; merging the live slots
+  (:meth:`~repro.obs.metrics.Histogram.merged`) yields windowed
+  quantiles and carries the window's **exemplar** — the trace/span id
+  of the bucket-max observation — so a slow outlier on a dashboard
+  points back into the trace that explains it.
 * :class:`HistogramSeries` — the *non-expiring* variant: append-only
-  time-slotted histograms over a whole run, so a soak report can compute
-  percentiles over any ``[t0, t1)`` window afterwards in
+  time-slotted ``Histogram`` objects over a whole run, so a soak report
+  can compute percentiles over any ``[t0, t1)`` window afterwards in
   O(windows x buckets) memory instead of retaining every sample.
 
 All time arithmetic goes through the instrument's clock (default
@@ -28,14 +28,12 @@ windowed telemetry is exactly as deterministic as the service itself.
 
 from __future__ import annotations
 
-import bisect
 import math
-import operator
 import time
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Optional, Sequence
 
 from repro.exceptions import ConfigurationError
-from repro.obs.metrics import LATENCY_BUCKETS, bucket_quantile
+from repro.obs.metrics import LATENCY_BUCKETS, Histogram
 from repro.obs.tracer import get_tracer
 
 __all__ = [
@@ -159,109 +157,14 @@ class RollingCounter(_TimeRing):
                 "rate": self.rate()}
 
 
-class _HistSlot:
-    """One slot's histogram state (also the merge accumulator)."""
-
-    __slots__ = ("counts", "count", "sum", "min", "max", "exemplar")
-
-    def __init__(self, n_buckets: int):
-        self.counts = [0] * n_buckets
-        self.count = 0
-        self.sum = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-        self.exemplar: Optional[dict] = None
-
-    def clear(self) -> None:
-        for i in range(len(self.counts)):
-            self.counts[i] = 0
-        self.count = 0
-        self.sum = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-        self.exemplar = None
-
-    def observe_many(self, edges: Tuple[float, ...], values: Iterable[float],
-                     exemplar: Optional[Callable[[float], dict]]) -> None:
-        """Record each value in order; ``sum`` adds them left to right.
-        The slot's exemplar is ``exemplar(v)`` of its max observation, or
-        of its first one while it has none, and is built only for the
-        value it ends up holding."""
-        counts = self.counts
-        total, lo, hi, n = self.sum, self.min, self.max, 0
-        kept = None  # the value whose exemplar the slot holds at the end
-        unset = self.exemplar is None
-        for v in values:
-            v = float(v)
-            counts[bisect.bisect_left(edges, v)] += 1
-            n += 1
-            total += v
-            if v < lo:
-                lo = v
-            if v > hi:
-                hi = v
-                kept = v
-            elif unset and kept is None:
-                kept = v
-        self.count += n
-        self.sum, self.min, self.max = total, lo, hi
-        if exemplar is not None and kept is not None:
-            self.exemplar = exemplar(kept)
-
-    def percentiles(self, edges: Tuple[float, ...]) -> Dict[str, float]:
-        """p50/p95/p99 of this slot's (usually merged) counts; zeros when
-        empty, so report shapes stay stable on idle services."""
-        if self.count == 0:
-            return {"p50": 0.0, "p95": 0.0, "p99": 0.0, "n": 0.0}
-        return {
-            "p50": bucket_quantile(edges, self.counts, self.count,
-                                   self.min, self.max, 0.50),
-            "p95": bucket_quantile(edges, self.counts, self.count,
-                                   self.min, self.max, 0.95),
-            "p99": bucket_quantile(edges, self.counts, self.count,
-                                   self.min, self.max, 0.99),
-            "n": float(self.count),
-        }
-
-    @classmethod
-    def merged(cls, n_buckets: int, slots: Sequence["_HistSlot"]) -> "_HistSlot":
-        """A new slot holding ``slots`` merged in order.  The integer
-        bucket counts are summed by column (exact in any order); one pass
-        over the non-empty slots adds ``sum`` left to right (never the
-        compensated builtin ``sum`` of Python >= 3.12), keeps the least
-        ``min``, and takes ``max`` and its exemplar (when it has one) from
-        each slot that strictly raises the max so far."""
-        acc = cls(n_buckets)
-        if slots:
-            acc.counts = list(map(sum, zip(*map(_COUNTS, slots))))
-        count, total, lo, hi, exemplar = 0, 0.0, math.inf, -math.inf, None
-        for n, s, s_lo, s_hi, s_exemplar in map(_FIELDS, slots):
-            count += n
-            total += s
-            if n:
-                if s_lo < lo:
-                    lo = s_lo
-                if s_hi > hi:
-                    hi = s_hi
-                    if s_exemplar is not None:
-                        exemplar = s_exemplar
-        acc.count, acc.sum, acc.min, acc.max = count, total, lo, hi
-        acc.exemplar = exemplar
-        return acc
-
-
-_COUNTS = operator.attrgetter("counts")
-_FIELDS = operator.attrgetter("count", "sum", "min", "max", "exemplar")
-
-
 class RollingHistogram(_TimeRing):
     """A fixed-bucket histogram over the trailing ``window_s`` seconds.
 
-    Each ring slot holds its own bucket counts; reads merge the live
-    slots, so quantiles are computed over exactly the window.  Memory is
-    O(n_slots x buckets) regardless of observation volume.  An optional
-    ``exemplar`` dict per observation (see :func:`span_exemplar`) is
-    retained for each slot's max — the "which solve was that spike"
+    A ring of :class:`~repro.obs.metrics.Histogram` slots; reads merge
+    the live slots, so quantiles are computed over exactly the window.
+    Memory is O(n_slots x buckets) regardless of observation volume.  An
+    optional ``exemplar`` dict per observation (see :func:`span_exemplar`)
+    is retained for each slot's max — the "which solve was that spike"
     pointer.
     """
 
@@ -269,13 +172,8 @@ class RollingHistogram(_TimeRing):
                  window_s: float = DEFAULT_FAST_WINDOW_S,
                  n_slots: int = 10,
                  clock: Callable[[], float] = time.monotonic):
-        edges = tuple(float(b) for b in buckets)
-        if not edges:
-            raise ConfigurationError("histogram needs at least one bucket edge")
-        if any(nxt <= prev for prev, nxt in zip(edges, edges[1:])):
-            raise ConfigurationError("bucket edges must be strictly ascending")
-        self.buckets = edges
-        self._slots = [_HistSlot(len(edges) + 1)
+        self.buckets = Histogram(buckets).buckets
+        self._slots = [Histogram.sharing(self.buckets)
                        for _ in range(int(max(n_slots, 1)))]
         super().__init__(window_s, n_slots, clock)
 
@@ -283,7 +181,7 @@ class RollingHistogram(_TimeRing):
         self._slots[pos].clear()
 
     def observe(self, v: float, exemplar: Optional[dict] = None) -> None:
-        self.observe_many((v,), None if exemplar is None else lambda _v: exemplar)
+        self._slots[self._advance()].observe(v, exemplar)
 
     def observe_many(self, values: Sequence[float],
                      exemplar: Optional[Callable[[float], dict]] = None) -> None:
@@ -291,24 +189,21 @@ class RollingHistogram(_TimeRing):
         bit-equal, with one clock read for the batch: every value lands in
         the current slot."""
         if values:
-            self._slots[self._advance()].observe_many(self.buckets, values, exemplar)
+            self._slots[self._advance()].observe_many(values, exemplar)
 
     # ---- windowed reads ------------------------------------------------------
-    def _merged(self) -> _HistSlot:
-        return _HistSlot.merged(len(self.buckets) + 1, self._live_slots())
+    def _merged(self) -> Histogram:
+        return Histogram.merged(self.buckets, self._live_slots())
 
     def count(self) -> int:
         return self._merged().count
 
     def quantile(self, q: float) -> float:
-        m = self._merged()
-        return bucket_quantile(self.buckets, m.counts, m.count,
-                               m.min, m.max, q)
+        return self._merged().quantile(q)
 
     def percentiles(self) -> Dict[str, float]:
-        """p50/p95/p99 over the live window (zeros when empty, so report
-        shapes stay stable on idle services)."""
-        return self._merged().percentiles(self.buckets)
+        """p50/p95/p99 over the live window (zeros when empty)."""
+        return self._merged().percentiles()
 
     def exemplar(self) -> Optional[dict]:
         """The exemplar of the window's max observation, if any."""
@@ -316,19 +211,9 @@ class RollingHistogram(_TimeRing):
 
     def to_dict(self) -> dict:
         m = self._merged()
-        return {
-            "kind": "rolling_histogram",
-            "window_s": self.window_s,
-            "n_slots": self.n_slots,
-            "buckets": list(self.buckets),
-            "counts": list(m.counts),
-            "count": m.count,
-            "sum": m.sum,
-            "min": None if m.count == 0 else m.min,
-            "max": None if m.count == 0 else m.max,
-            "percentiles": m.percentiles(self.buckets),
-            "exemplar": m.exemplar,
-        }
+        return {"kind": "rolling_histogram", "window_s": self.window_s,
+                "n_slots": self.n_slots, **m.to_dict(),
+                "percentiles": m.percentiles(), "exemplar": m.exemplar}
 
 
 class HistogramSeries:
@@ -350,14 +235,9 @@ class HistogramSeries:
                  buckets: Iterable[float] = LATENCY_BUCKETS):
         if slot_s <= 0:
             raise ConfigurationError("slot_s must be positive")
-        edges = tuple(float(b) for b in buckets)
-        if not edges:
-            raise ConfigurationError("histogram needs at least one bucket edge")
-        if any(nxt <= prev for prev, nxt in zip(edges, edges[1:])):
-            raise ConfigurationError("bucket edges must be strictly ascending")
         self.slot_s = float(slot_s)
-        self.buckets = edges
-        self._slots: Dict[int, _HistSlot] = {}
+        self.buckets = Histogram(buckets).buckets
+        self._slots: Dict[int, Histogram] = {}
 
     # ---- writes --------------------------------------------------------------
     def observe(self, t: float, v: float,
@@ -374,8 +254,8 @@ class HistogramSeries:
         idx = int(float(t) / max(self.slot_s, 1e-12))
         slot = self._slots.get(idx)
         if slot is None:
-            slot = self._slots[idx] = _HistSlot(len(self.buckets) + 1)
-        slot.observe_many(self.buckets, values, exemplar)
+            slot = self._slots[idx] = Histogram.sharing(self.buckets)
+        slot.observe_many(values, exemplar)
 
     def merge(self, other: "HistogramSeries") -> None:
         """Fold another series (same slots/buckets) into this one."""
@@ -384,13 +264,13 @@ class HistogramSeries:
                 "can only merge series with identical slot_s and buckets")
         for idx, slot in other._slots.items():
             mine = self._slots.get(idx)
-            self._slots[idx] = _HistSlot.merged(
-                len(self.buckets) + 1, [slot] if mine is None else [mine, slot])
+            self._slots[idx] = Histogram.merged(
+                self.buckets, [slot] if mine is None else [mine, slot])
 
     # ---- windowed reads ------------------------------------------------------
-    def _merged(self, t0: float, t1: float) -> _HistSlot:
+    def _merged(self, t0: float, t1: float) -> Histogram:
         # the slots overlapping [t0, t1), in insertion order
-        return _HistSlot.merged(len(self.buckets) + 1, [
+        return Histogram.merged(self.buckets, [
             slot for idx, slot in self._slots.items()
             if idx * self.slot_s < t1 and (idx + 1) * self.slot_s > t0])
 
@@ -399,15 +279,12 @@ class HistogramSeries:
 
     def quantile(self, q: float, t0: float = 0.0,
                  t1: float = math.inf) -> float:
-        m = self._merged(t0, t1)
-        return bucket_quantile(self.buckets, m.counts, m.count,
-                               m.min, m.max, q)
+        return self._merged(t0, t1).quantile(q)
 
     def percentiles(self, t0: float = 0.0,
                     t1: float = math.inf) -> Dict[str, float]:
-        """p50/p95/p99 over services in ``[t0, t1)`` (zeros when empty,
-        mirroring ``ServeReport.latency_percentiles``)."""
-        return self._merged(t0, t1).percentiles(self.buckets)
+        """p50/p95/p99 over services in ``[t0, t1)`` (zeros when empty)."""
+        return self._merged(t0, t1).percentiles()
 
     def exemplar(self, t0: float = 0.0,
                  t1: float = math.inf) -> Optional[dict]:

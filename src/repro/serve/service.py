@@ -35,8 +35,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.exceptions import ConfigurationError
 from repro.obs import (
     DEFAULT_SERVE_SLOS,
@@ -93,10 +91,11 @@ class ServeConfig:
 class ServeReport:
     """What one service run produced, summarized for gates and tests.
 
-    Latencies are simulated queueing delays (seconds); ``latencies``
-    keeps the raw ``(service time, delay)`` samples so tests can compute
-    windowed percentiles (e.g. p99 recovery after a burst) without the
-    service prescribing the window.
+    Latencies are simulated queueing delays (seconds), recorded in
+    ``latency_series``: the shards' HistogramSeries merged, O(slots x
+    buckets) however many UEs were served, so tests can compute windowed
+    percentiles (e.g. p99 recovery after a burst) without the service
+    prescribing the window.
     """
 
     duration_s: float
@@ -119,33 +118,16 @@ class ServeReport:
     transitions: List[dict]
     chaos_injections: int
     drained: bool
-    latencies: List[Tuple[float, float]] = field(repr=False, default_factory=list)
-    #: bounded-memory latency record: merged per-shard HistogramSeries,
-    #: O(slots x buckets) regardless of how many UEs were served.  The
-    #: raw ``latencies`` list is populated only when
-    #: ``ShardConfig.retain_latency_samples`` is on.
-    latency_series: Optional[HistogramSeries] = field(repr=False, default=None)
+    latency_series: HistogramSeries = field(repr=False)
 
     def latency_percentiles(self, t0: float = 0.0,
                             t1: float = float("inf")) -> Dict[str, float]:
-        """p50/p95/p99 simulated latency over services in ``[t0, t1)``.
-
-        Exact sample percentiles when raw samples were retained;
-        otherwise bucket-estimated from the windowed histogram series
-        (within one bucket width — the telemetry-v2 default).
-        """
-        window = [lat for t, lat in self.latencies if t0 <= t < t1]
-        if window:
-            arr = np.asarray(window, dtype=np.float64)
-            p50, p95, p99 = np.percentile(arr, [50.0, 95.0, 99.0])
-            return {"p50": float(p50), "p95": float(p95), "p99": float(p99),
-                    "n": float(arr.size)}
-        if self.latency_series is not None:
-            return self.latency_series.percentiles(t0, t1)
-        return {"p50": 0.0, "p95": 0.0, "p99": 0.0, "n": 0.0}
+        """p50/p95/p99 simulated latency over services in ``[t0, t1)``,
+        bucket-estimated (within one bucket width of the sample value)."""
+        return self.latency_series.percentiles(t0, t1)
 
     def to_dict(self) -> dict:
-        """JSON-ready summary (raw latency samples reduced to percentiles)."""
+        """JSON-ready summary (the latency series reduced to percentiles)."""
         out = {
             "duration_s": self.duration_s,
             "tick_s": self.tick_s,
@@ -376,8 +358,7 @@ class QoSService:
         shed: Dict[str, int] = {}
         rungs: Dict[str, int] = {}
         transitions: List[dict] = []
-        latencies: List[Tuple[float, float]] = []
-        frames = frames_dropped = injections = 0
+        injections = 0
         for shard in self.shards:
             stats = shard.queue.stats
             for svc in SERVE_ORDER:
@@ -391,12 +372,8 @@ class QoSService:
                 {"cell": shard.cell, "from_state": f, "to_state": t,
                  "pressure": p, "time_s": ts}
                 for f, t, p, ts in shard.overload.transitions)
-            latencies.extend(shard.latencies_s)
-            frames += shard.frames
-            frames_dropped += shard.frames_dropped
             injections += shard.chaos_injections_total
         transitions.sort(key=lambda d: (d["time_s"], d["cell"]))
-        latencies.sort()
         series = HistogramSeries(slot_s=self.config.shard.latency_slot_s,
                                  buckets=LATENCY_BUCKETS)
         for shard in self.shards:
@@ -416,12 +393,11 @@ class QoSService:
             shed_ues=shed,
             shed_rate=shed_rate,
             throughput_ues_per_s=total_served / duration_s,  # numlint: disable=NL002 -- run() rejects nonpositive duration_s before reporting
-            frames=frames,
-            frames_dropped=frames_dropped,
+            frames=sum(shard.frames for shard in self.shards),
+            frames_dropped=sum(shard.frames_dropped for shard in self.shards),
             rung_counts=rungs,
             transitions=transitions,
             chaos_injections=injections,
             drained=self._drained,
-            latencies=latencies,
             latency_series=series,
         )

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -88,11 +87,6 @@ class ShardConfig:
     overload: OverloadConfig = field(default_factory=OverloadConfig)
     breaker_failure_threshold: int = 3
     breaker_cooldown_s: float = 5.0
-    #: keep every raw (time, latency) sample on the shard.  Off by
-    #: default: long soaks get bounded O(slots x buckets) memory from
-    #: the latency HistogramSeries instead; tests and goldens that
-    #: assert exact sample lists opt back in.
-    retain_latency_samples: bool = False
     #: slot width of the shard's append-only latency series (drives the
     #: resolution of post-hoc windowed percentiles)
     latency_slot_s: float = 0.5
@@ -181,14 +175,11 @@ class SchedulerShard:
             channel or ChannelConfig(n_blocks=self.config.n_blocks),
             rng=np.random.default_rng(
                 derive_seed(seed, cell, "serve.channel")))
-        self.frames = 0
-        self.frames_dropped = 0
         self.chaos_injections_total = 0
+        #: frames answered per rung name; a dropped frame is rung "none"
         self.rung_counts: Dict[str, int] = {}
         self.served_ues: Dict[ServiceClass, int] = {}
-        # raw samples only when opted in; the series/window below are
-        # the bounded-memory default (telemetry v2)
-        self.latencies_s: List[Tuple[float, float]] = []  # (sim time, latency)
+        # the shard's latency record: O(slots x buckets), never raw samples
         self.latency_series = HistogramSeries(
             slot_s=self.config.latency_slot_s, buckets=LATENCY_BUCKETS)
         self.latency_window = RollingHistogram(
@@ -210,6 +201,14 @@ class SchedulerShard:
             lambda: RollingCounter(window_s=60.0, n_slots=30,
                                    clock=lambda: self._sim_now),
             cell=self.cell).inc()
+
+    @property
+    def frames(self) -> int:
+        return sum(self.rung_counts.values())
+
+    @property
+    def frames_dropped(self) -> int:
+        return self.rung_counts.get("none", 0)
 
     # ---- tick plumbing -------------------------------------------------------
     def advance_clock(self, now_s: float) -> None:
@@ -294,7 +293,6 @@ class SchedulerShard:
             per_class_satisfaction=dict(outcome["per_class_satisfaction"]),
             chaos_injections=outcome["chaos_injections"],
         )
-        self.frames += 1
         self.chaos_injections_total += out.chaos_injections
         self.rung_counts[out.rung] = self.rung_counts.get(out.rung, 0) + 1
         handles = self._metrics
@@ -308,7 +306,6 @@ class SchedulerShard:
         else:
             self.breaker.record_success()
         if out.dropped:
-            self.frames_dropped += 1
             handles.get("frames_dropped", lambda m: m.counter(
                 "serve.frames_dropped")).inc()
             # the frame's demand was not served: requeue it for retry —
@@ -316,8 +313,6 @@ class SchedulerShard:
             self.queue.requeue(batch)
             return out
         latencies = [max(0.0, now_s - r.enqueued_at_s) for r in batch]
-        if self.config.retain_latency_samples:
-            self.latencies_s.extend((now_s, latency) for latency in latencies)
 
         def exemplar(latency: float) -> dict:
             return span_exemplar(latency, time_s=now_s)
@@ -364,15 +359,7 @@ class SchedulerShard:
             "shed_ues": {"depth": _by_class_name(stats.shed_depth),
                          "age": _by_class_name(stats.shed_age)},
             "transitions": len(self.overload.transitions),
-            "latency": window.percentiles(self.latency_window.buckets),
+            "latency": window.percentiles(),
             "exemplar": window.exemplar,
             "rung_usage": dict(sorted(self.rung_counts.items())),
         }
-
-    def mean_latency_s(self) -> float:
-        if self.latencies_s:
-            return (math.fsum(lat for _, lat in self.latencies_s)
-                    / len(self.latencies_s))
-        # bounded-memory default: mean from the append-only series
-        merged = self.latency_series._merged(0.0, math.inf)
-        return merged.sum / max(merged.count, 1)

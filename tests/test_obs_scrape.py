@@ -21,11 +21,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.obs import (MetricsRegistry, RollingHistogram, Telemetry, bucket_quantile,
-                       use_metrics)
+from repro.obs import (Histogram, MetricsRegistry, RollingHistogram, Telemetry,
+                       bucket_quantile, use_metrics)
 from repro.obs import export
 from repro.obs.export import render_ops_table, render_prometheus
-from repro.obs.windows import HistogramSeries, _HistSlot
+from repro.obs.windows import HistogramSeries
 
 pytestmark = pytest.mark.obs
 
@@ -135,9 +135,9 @@ def oracle_registry_snapshot(registry: MetricsRegistry) -> dict:
     }
 
 
-def oracle_merge(n_buckets: int, slots) -> _HistSlot:
+def oracle_merge(edges, slots) -> Histogram:
     """One slot at a time, one bucket at a time."""
-    acc = _HistSlot(n_buckets)
+    acc = Histogram(edges)
     for other in slots:
         for i, n in enumerate(other.counts):
             acc.counts[i] += n
@@ -152,7 +152,7 @@ def oracle_merge(n_buckets: int, slots) -> _HistSlot:
     return acc
 
 
-def oracle_percentiles(slot: _HistSlot, edges) -> dict:
+def oracle_percentiles(slot: Histogram, edges) -> dict:
     if slot.count == 0:
         return {"p50": 0.0, "p95": 0.0, "p99": 0.0, "n": 0.0}
     return {name: bucket_quantile(edges, slot.counts, slot.count,
@@ -161,11 +161,11 @@ def oracle_percentiles(slot: _HistSlot, edges) -> dict:
         "n": float(slot.count)}
 
 
-def oracle_window(ring: RollingHistogram) -> _HistSlot:
+def oracle_window(ring: RollingHistogram) -> Histogram:
     """A rolling histogram's live window, merged slot by slot."""
     ring._advance()
     lo = max(0, ring._cur - ring.n_slots + 1)
-    return oracle_merge(len(ring.buckets) + 1, [
+    return oracle_merge(ring.buckets, [
         ring._slots[idx % ring.n_slots] for idx in range(lo, ring._cur + 1)])
 
 
@@ -434,7 +434,7 @@ def test_registry_snapshot_matches_oracle(ops):
 
 # ---- rolling-window merge ------------------------------------------------------
 
-def _slot_state(slot: _HistSlot) -> tuple:
+def _slot_state(slot: Histogram) -> tuple:
     return (slot.counts, slot.count, slot.sum.hex(), slot.min, slot.max,
             slot.exemplar)
 
@@ -460,7 +460,7 @@ def test_window_merge_matches_slot_by_slot_oracle(steps):
         assert ring.to_dict()["percentiles"] == oracle_percentiles(
             oracle_window(ring), ring.buckets)
     for t0, t1 in ((0.0, math.inf), (2.0, 5.0)):
-        oracle = oracle_merge(4, [s for idx, s in series._slots.items()
+        oracle = oracle_merge(series.buckets, [s for idx, s in series._slots.items()
                                   if idx < t1 and idx + 1 > t0])
         assert _slot_state(series._merged(t0, t1)) == _slot_state(oracle)
 
@@ -493,8 +493,8 @@ def test_series_merge_matches_slot_by_slot_oracle(mine, theirs):
     series, other = build(mine), build(theirs)
     want = {idx: _slot_state(slot) for idx, slot in series._slots.items()}
     for idx, slot in other._slots.items():
-        want[idx] = _slot_state(oracle_merge(4, [s for s in (series._slots.get(idx), slot)
-                                                 if s is not None]))
+        want[idx] = _slot_state(oracle_merge(series.buckets, [
+            s for s in (series._slots.get(idx), slot) if s is not None]))
     before = {idx: _slot_state(slot) for idx, slot in other._slots.items()}
     series.merge(other)
     assert {idx: _slot_state(slot) for idx, slot in series._slots.items()} == want

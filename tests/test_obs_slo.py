@@ -333,8 +333,6 @@ class TestSLOChaosAcceptance:
         max_slots = math.ceil(8.0 / slot_s) + 1
         cells_per_slot = len(LATENCY_BUCKETS) + 1
         for shard in svc.shards:
-            # raw samples are opt-in and off: O(events) storage is gone
-            assert shard.latencies_s == []
             assert shard.latency_series.n_slots <= max_slots
             assert (shard.latency_series.memory_cells()
                     <= max_slots * cells_per_slot)

@@ -253,7 +253,8 @@ def _histogram_state(hist) -> dict:
     of the three histogram types."""
     if isinstance(hist, Histogram):
         return {"counts": list(hist.counts), "count": hist.count,
-                "sum": float(hist.sum).hex(), "min": hist.min, "max": hist.max}
+                "sum": float(hist.sum).hex(), "min": hist.min, "max": hist.max,
+                "exemplar": hist.exemplar}
     slots = (hist._slots.items() if isinstance(hist, HistogramSeries)
              else enumerate(hist._slots))
     return {idx: {"counts": list(s.counts), "count": s.count, "sum": float(s.sum).hex(),
@@ -290,9 +291,7 @@ class TestBatchObserve:
             t = 0.0
             # earlier single observations leave a slot with an exemplar
             for v in pre:
-                if kind == "histogram":
-                    hist.observe(v)
-                elif kind == "rolling":
+                if kind in ("histogram", "rolling"):
                     hist.observe(v, exemplar=exemplar(v))
                 else:
                     hist.observe(t, v, exemplar=exemplar(v))
@@ -301,17 +300,13 @@ class TestBatchObserve:
                 t += 0.2
                 clocks[mode].advance(0.2)
                 if mode == "batch":
-                    if kind == "histogram":
-                        hist.observe_many(values)
-                    elif kind == "rolling":
+                    if kind in ("histogram", "rolling"):
                         hist.observe_many(values, exemplar=exemplar)
                     else:
                         hist.observe_many(t, values, exemplar=exemplar)
                 else:
                     for v in values:
-                        if kind == "histogram":
-                            hist.observe(v)
-                        elif kind == "rolling":
+                        if kind in ("histogram", "rolling"):
                             hist.observe(v, exemplar=exemplar(v))
                         else:
                             hist.observe(t, v, exemplar=exemplar(v))

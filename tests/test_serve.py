@@ -374,8 +374,7 @@ class TestShard:
         return shard
 
     def test_roundtrip_serves_requests_and_records_latency(self):
-        # raw samples are opt-in since telemetry v2 (bounded memory)
-        shard = self._loaded_shard(retain_latency_samples=True)
+        shard = self._loaded_shard()
         task = shard.build_task(now_s=0.3, frame=0)
         assert task is not None
         assert tuple(task["rungs"]) == RRA_FALLBACK
@@ -384,7 +383,9 @@ class TestShard:
         assert out.rung in RRA_FALLBACK
         # NORMAL take is 2: URLLC + eMBB served, latency is sim delay
         assert shard.total_served_ues() == 20
-        assert [lat for _, lat in shard.latencies_s] == pytest.approx([0.3, 0.3])
+        slots = shard.latency_series.to_dict()["slots"]
+        assert list(slots) == ["0"] and slots["0"]["count"] == 2
+        assert slots["0"]["min"] == slots["0"]["max"] == pytest.approx(0.3)
 
     def test_idle_tick_builds_no_task(self):
         shard = SchedulerShard(0, ShardConfig(), seed=9)
@@ -549,8 +550,7 @@ class TestChaosSoak:
     def _run(self, arrivals, chaos, telemetry=None):
         # tight queue bounds so the 10x burst genuinely overflows them
         cfg = ServeConfig(n_cells=3, seed=21, tick_s=0.1, arrivals=arrivals,
-                          shard=ShardConfig(max_depth=20, max_age_s=2.0,
-                                            retain_latency_samples=True))
+                          shard=ShardConfig(max_depth=20, max_age_s=2.0))
         svc = QoSService(cfg)
         if telemetry is None:
             return svc.run(8.0)
@@ -615,4 +615,4 @@ class TestChaosSoak:
         a = self._run(self.BURST, self.CHAOS, Telemetry.recording())
         b = self._run(self.BURST, self.CHAOS, Telemetry.recording())
         assert a.to_dict() == b.to_dict()
-        assert a.latencies == b.latencies
+        assert a.latency_series.to_dict() == b.latency_series.to_dict()
