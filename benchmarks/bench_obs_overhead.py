@@ -16,10 +16,11 @@ against the committed ``benchmarks/results/BENCH_obs_overhead.json``):
   path on the serving soak: a :class:`~repro.obs.SampledTracer`, a real
   metrics registry, and the per-shard windowed instruments
   (``RollingHistogram``/``HistogramSeries``/``RollingCounter``) all
-  live, versus the same soak under the no-op telemetry.  The solve work
-  dominates, so recording must stay within 15% of the dark run — the
-  "telemetry is not allowed to become the workload" contract for
-  always-on production observability.
+  live, versus the same soak under the no-op telemetry, the two timed
+  turn about so host drift hits both alike.  The solve work dominates,
+  so recording must stay within 15% of the dark run — the "telemetry is
+  not allowed to become the workload" contract for always-on production
+  observability.
 * **scrape** — one scrape of a live service (``QoSService.health()``,
   the ops table rendered from it, ``MetricsRegistry.snapshot()`` and the
   Prometheus text rendered from that) against one plain tick of the same
@@ -68,7 +69,6 @@ pytestmark = pytest.mark.obs
 
 _N = 40
 _MAX_ITER = 300
-_ROUNDS = 7
 #: one solve takes about a millisecond: the no-op row times many,
 #: alternating the two sides so host drift hits both alike
 _NOOP_ROUNDS = 201
@@ -78,7 +78,8 @@ NOOP_BUDGET = 1.05
 RECORDING_BUDGET = 1.15
 
 _SERVE_DURATION_S = 4.0
-_SERVE_ROUNDS = 5
+#: soaks per side; a soak takes ~0.1 s, so a reading takes a few seconds
+_SERVE_ROUNDS = 11
 
 #: a scrape may cost at most half a plain tick; the committed samples
 #: (``BENCH_obs_overhead.json``) read about a third
@@ -112,15 +113,6 @@ def _bare_admm(prox_f, prox_g, n, rho=1.0, max_iter=_MAX_ITER, tol=0.0):
         if prim <= tol * scale and dual <= tol * scale:
             break
     return ws.x.copy(), ws.z.copy(), it
-
-
-def _median_time(fn, rounds=_ROUNDS) -> float:
-    times = []
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times)
 
 
 def _interleaved_median_times(a, b, rounds=_NOOP_ROUNDS):
@@ -203,8 +195,7 @@ def measure_recording_overhead() -> dict:
 
     dark()
     recording()
-    t_dark = _median_time(dark, rounds=_SERVE_ROUNDS)
-    t_rec = _median_time(recording, rounds=_SERVE_ROUNDS)
+    t_dark, t_rec = _interleaved_median_times(dark, recording, rounds=_SERVE_ROUNDS)
     ratio = t_rec / max(t_dark, 1e-12)
     return {
         "mode": "recording_windowed",

@@ -64,8 +64,10 @@ class AffineStage:
 def extract_affine_stages(net: Sequential) -> List[AffineStage]:
     """Validate an alternating Dense/(Leaky)ReLU stack into stage form.
 
-    Mirrors ``repro.verify.linear_bounds.extract_affine_relu_stack`` but
-    lives at the kernel layer so the dependency points verify → kernels.
+    The one stage form of the package: the CROWN kernels here, the
+    reference recursion and every verifier in :mod:`repro.verify` read
+    it, so the dependency points verify → kernels.  Raises for
+    unsupported layouts.
     """
     stages: List[AffineStage] = []
     layers = list(net.layers)

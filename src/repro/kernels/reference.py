@@ -22,11 +22,12 @@ import numpy as np
 from repro.convex.problem import LPProblem, Solution
 from repro.exceptions import ConvergenceError, InfeasibleError, UnboundedError
 from repro.kernels.gram import apply_adjoint, apply_operator
+from repro.kernels.propagation import extract_affine_stages
 from repro.linalg.matrix_utils import frobenius_inner
 from repro.linalg.psd import symmetrize
 from repro.nn.network import Sequential
 from repro.qos.rra import RRAProblem, RRAResult
-from repro.verify.linear_bounds import _backward_bound, extract_affine_relu_stack
+from repro.verify.linear_bounds import _backward_bound
 
 __all__ = [
     "gram_matrix_reference",
@@ -145,7 +146,7 @@ def crown_preactivation_reference(net: Sequential, x_lo: np.ndarray, x_hi: np.nd
     same signature."""
     x_lo = np.asarray(x_lo, dtype=np.float64).ravel()
     x_hi = np.asarray(x_hi, dtype=np.float64).ravel()
-    stages = extract_affine_relu_stack(net)
+    stages = extract_affine_stages(net)
     pre: List[Tuple[np.ndarray, np.ndarray]] = []
     for k, stage in enumerate(stages):
         n_out = stage.b.size

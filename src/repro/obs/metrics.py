@@ -428,22 +428,28 @@ class use_metrics:
         return False
 
 
+#: the per-solve series, resolved once per (series, solver)
+_SOLVER_HANDLES = Handles()
+
+
 def record_solver_outcome(
     solver: str,
     iterations: int,
     converged: bool,
     residual: Optional[float] = None,
-    registry: Optional[MetricsRegistry] = None,
 ) -> None:
     """One solve's outcome: the single metrics call every instrumented
-    solver loop makes on exit (constant cost, independent of iterations).
+    solver loop makes on exit (constant cost, independent of iterations),
+    into the ambient registry.
     """
-    reg = registry if registry is not None else _current_metrics
-    reg.counter("solver.solves", solver=solver).inc()
+    get = _SOLVER_HANDLES.get
+    get(("solver.solves", solver),
+        lambda m: m.counter("solver.solves", solver=solver)).inc()
     if not converged:
-        reg.counter("solver.failures", solver=solver).inc()
-    reg.histogram("solver.iterations", buckets=ITERATION_BUCKETS,
-                  solver=solver).observe(iterations)
+        get(("solver.failures", solver),
+            lambda m: m.counter("solver.failures", solver=solver)).inc()
+    get(("solver.iterations", solver), lambda m: m.histogram(
+        "solver.iterations", buckets=ITERATION_BUCKETS, solver=solver)).observe(iterations)
     if residual is not None and math.isfinite(residual):
-        reg.histogram("solver.residual", buckets=RESIDUAL_BUCKETS,
-                      solver=solver).observe(residual)
+        get(("solver.residual", solver), lambda m: m.histogram(
+            "solver.residual", buckets=RESIDUAL_BUCKETS, solver=solver)).observe(residual)

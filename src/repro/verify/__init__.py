@@ -23,7 +23,6 @@ from repro.verify.linear_bounds import (
     crown_input_linear_form,
     crown_margin_lower_bound,
     crown_preactivation_bounds,
-    extract_affine_relu_stack,
 )
 from repro.verify.input_split import InputSplitResult, input_split_margin_bound
 from repro.verify.lp_relax import build_margin_lp, lp_margin_lower_bound
@@ -58,7 +57,6 @@ __all__ = [
     "crown_margin_lower_bound",
     "crown_preactivation_bounds",
     "exact_margin_bound",
-    "extract_affine_relu_stack",
     "false_negative_rate",
     "fgsm_attack",
     "firstorder_margin_lower_bound",

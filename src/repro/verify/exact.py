@@ -15,15 +15,15 @@ the exponential blow-up the paper warns about is directly measurable
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import List
 
 import numpy as np
 
-from repro.exceptions import VerificationError
 from repro.minlp.milp import solve_milp
 from repro.minlp.model import MILPModel
-from repro.convex.problem import LPProblem
 from repro.nn.network import Sequential
-from repro.verify.linear_bounds import crown_preactivation_bounds, extract_affine_relu_stack
+from repro.verify.lp_relax import _encode, _stages_and_boxes
 
 __all__ = ["ExactResult", "exact_margin_bound"]
 
@@ -39,6 +39,24 @@ class ExactResult:
     n_binaries: int
 
 
+def _big_m(binaries: List[int], enc, key, z, h, l, u, slope) -> None:
+    """ReLU with a binary indicator ``a`` on each unstable neuron (its
+    column appended to ``binaries``): ``h >= z``, ``h <= z - l (1 - a)``
+    and ``h <= u a`` inside the box ``0 <= h <= max(u, 0)``."""
+    enc.lo[h] = 0.0
+    enc.hi[h] = np.maximum(u, 0.0)  # numpy's max: a -0.0 bound boxes h to +0.0
+    if l >= 0.0:
+        enc.eq(0.0, (h, 1.0), (z, -1.0))  # active: h = z
+    elif u <= 0.0:
+        enc.eq(0.0, (h, 1.0))  # inactive: h = 0
+    else:
+        a = enc.column(0.0, 1.0)
+        binaries.append(a)
+        enc.ineq(0.0, (z, 1.0), (h, -1.0))  # z - h <= 0
+        enc.ineq(-l, (h, 1.0), (z, -1.0), (a, -l))  # h - z - l a <= -l
+        enc.ineq(0.0, (h, 1.0), (a, -u))  # h - u a <= 0
+
+
 def exact_margin_bound(
     net: Sequential,
     x0: np.ndarray,
@@ -51,128 +69,12 @@ def exact_margin_bound(
     """Exactly minimize ``c^T f(x) + d`` over the eps-ball (pure-ReLU
     stacks with a linear output layer only)."""
     x0 = np.asarray(x0, dtype=np.float64).ravel()
-    stages = extract_affine_relu_stack(net)
-    if stages[-1].act_slope is not None:
-        raise VerificationError("exact verifier expects a linear output layer")
-    for s in stages[:-1]:
-        if s.act_slope not in (0.0, None):
-            raise VerificationError("exact verifier supports pure-ReLU stacks only")
-    pre = crown_preactivation_bounds(net, x0, eps, method="crown")
-
-    # variables: [x, (z_k, h_k, a_k unstable binaries)..., z_last]
-    n_in = x0.size
-    offsets = {"x": 0}
-    total = n_in
-    binaries: list[int] = []
-    unstable_info: list[tuple[int, int, float, float]] = []  # (stage, neuron, l, u)
-    for k, stage in enumerate(stages):
-        m = stage.b.size
-        offsets[f"z{k}"] = total
-        total += m
-        if stage.act_slope is not None:
-            offsets[f"h{k}"] = total
-            total += m
-    # binaries appended at the end
-    for k, stage in enumerate(stages):
-        if stage.act_slope is None:
-            continue
-        lo_k, hi_k = pre[k]
-        for j in range(stage.b.size):
-            l, u = float(lo_k[j]), float(hi_k[j])
-            if l < 0.0 < u:
-                offsets.setdefault(f"a{k}", total)
-                unstable_info.append((k, j, l, u))
-                binaries.append(total)
-                total += 1
-
-    lo = np.full(total, -np.inf)
-    hi = np.full(total, np.inf)
-    lo[:n_in] = x0 - eps
-    hi[:n_in] = x0 + eps
-    for k, stage in enumerate(stages):
-        z_off = offsets[f"z{k}"]
-        m = stage.b.size
-        lo[z_off : z_off + m] = pre[k][0]
-        hi[z_off : z_off + m] = pre[k][1]
-        if stage.act_slope is not None:
-            h_off = offsets[f"h{k}"]
-            lo[h_off : h_off + m] = 0.0
-            hi[h_off : h_off + m] = np.maximum(pre[k][1], 0.0)
-    for b_idx in binaries:
-        lo[b_idx] = 0.0
-        hi[b_idx] = 1.0
-
-    eq_rows, eq_rhs, ineq_rows, ineq_rhs = [], [], [], []
-    prev_off, prev_dim = offsets["x"], n_in
-    bin_cursor = 0
-    for k, stage in enumerate(stages):
-        z_off = offsets[f"z{k}"]
-        m = stage.b.size
-        for j in range(m):
-            row = np.zeros(total)
-            row[prev_off : prev_off + prev_dim] = stage.w[:, j]
-            row[z_off + j] = -1.0
-            eq_rows.append(row)
-            eq_rhs.append(-float(stage.b[j]))
-        if stage.act_slope is None:
-            prev_off, prev_dim = z_off, m
-            continue
-        h_off = offsets[f"h{k}"]
-        lo_k, hi_k = pre[k]
-        for j in range(m):
-            l, u = float(lo_k[j]), float(hi_k[j])
-            if l >= 0.0:
-                row = np.zeros(total)
-                row[h_off + j] = 1.0
-                row[z_off + j] = -1.0
-                eq_rows.append(row)
-                eq_rhs.append(0.0)
-            elif u <= 0.0:
-                row = np.zeros(total)
-                row[h_off + j] = 1.0
-                eq_rows.append(row)
-                eq_rhs.append(0.0)
-            else:
-                a_idx = binaries[bin_cursor]
-                bin_cursor += 1
-                # h >= z            -> z - h <= 0
-                row = np.zeros(total)
-                row[z_off + j] = 1.0
-                row[h_off + j] = -1.0
-                ineq_rows.append(row)
-                ineq_rhs.append(0.0)
-                # h <= z - l (1-a)  -> h - z - l a <= -l
-                row = np.zeros(total)
-                row[h_off + j] = 1.0
-                row[z_off + j] = -1.0
-                row[a_idx] = -l
-                ineq_rows.append(row)
-                ineq_rhs.append(-l)
-                # h <= u a          -> h - u a <= 0
-                row = np.zeros(total)
-                row[h_off + j] = 1.0
-                row[a_idx] = -u
-                ineq_rows.append(row)
-                ineq_rhs.append(0.0)
-        prev_off, prev_dim = h_off, m
-
-    c = np.asarray(c, dtype=np.float64).ravel()
-    obj = np.zeros(total)
-    z_last = offsets[f"z{len(stages) - 1}"]
-    obj[z_last : z_last + stages[-1].b.size] = c
-
-    lp = LPProblem(
-        c=obj,
-        g=np.asarray(ineq_rows) if ineq_rows else None,
-        h=np.asarray(ineq_rhs) if ineq_rhs else None,
-        a=np.asarray(eq_rows),
-        b=np.asarray(eq_rhs),
-        lo=lo,
-        hi=hi,
-    )
+    stages, pre = _stages_and_boxes(net, x0, eps, "exact", relu_only=True)
+    binaries: List[int] = []
+    lp = _encode(stages, pre, x0, eps, c, partial(_big_m, binaries))
     model = MILPModel(lp, frozenset(binaries))
     res = solve_milp(model, max_nodes=max_nodes, time_limit=time_limit)
-    x_worst = res.x[:n_in] if res.x is not None else None
+    x_worst = res.x[: x0.size] if res.x is not None else None
     margin = res.objective + d if res.x is not None else res.lower_bound + d
     return ExactResult(
         margin=float(margin),

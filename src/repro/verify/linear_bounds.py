@@ -17,14 +17,13 @@ Two modes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
 
 from repro.exceptions import VerificationError
-from repro.kernels.propagation import crown_preactivation_fast
-from repro.nn.layers import Dense, LeakyReLU, ReLU
+from repro.kernels.propagation import AffineStage, crown_preactivation_fast, extract_affine_stages
+from repro.nn.layers import Dense
 from repro.nn.network import Sequential
 from repro.verify.interval import LayerBounds, propagate_intervals
 
@@ -32,49 +31,7 @@ __all__ = [
     "crown_margin_lower_bound",
     "crown_preactivation_bounds",
     "crown_input_linear_form",
-    "extract_affine_relu_stack",
 ]
-
-
-@dataclass(frozen=True)
-class _AffineStage:
-    """One (Dense, activation) pair; activation may be None at the end."""
-
-    w: np.ndarray
-    b: np.ndarray
-    act_slope: float | None  # None = no activation; 0.0 = ReLU; s = LeakyReLU(s)
-
-
-def extract_affine_relu_stack(net: Sequential) -> List[_AffineStage]:
-    """Validate the network is an alternating Dense/(Leaky)ReLU stack and
-    return it in stage form.  Raises for unsupported layouts."""
-    stages: List[_AffineStage] = []
-    layers = list(net.layers)
-    i = 0
-    while i < len(layers):
-        layer = layers[i]
-        if not isinstance(layer, Dense):
-            raise VerificationError(
-                f"CROWN expects Dense layers (got {type(layer).__name__} at {i})"
-            )
-        slope: float | None = None
-        if i + 1 < len(layers):
-            nxt = layers[i + 1]
-            if isinstance(nxt, ReLU):
-                slope = 0.0
-                i += 1
-            elif isinstance(nxt, LeakyReLU):
-                slope = nxt.slope
-                i += 1
-            elif isinstance(nxt, Dense):
-                slope = None
-            else:
-                raise VerificationError(
-                    f"CROWN supports ReLU/LeakyReLU activations, got {type(nxt).__name__}"
-                )
-        stages.append(_AffineStage(layer.w, layer.b, slope))
-        i += 1
-    return stages
 
 
 def _relu_relaxation(lo: np.ndarray, hi: np.ndarray, leaky: float) -> tuple:
@@ -108,7 +65,7 @@ def _relu_relaxation(lo: np.ndarray, hi: np.ndarray, leaky: float) -> tuple:
 
 
 def _backward_form(
-    stages: List[_AffineStage],
+    stages: List[AffineStage],
     pre_bounds: List[Tuple[np.ndarray, np.ndarray]],
     upto: int,
     c: np.ndarray,
@@ -144,7 +101,7 @@ def _backward_form(
 
 
 def _backward_bound(
-    stages: List[_AffineStage],
+    stages: List[AffineStage],
     pre_bounds: List[Tuple[np.ndarray, np.ndarray]],
     upto: int,
     c: np.ndarray,
@@ -168,7 +125,7 @@ def crown_input_linear_form(
     ``x0 - eps * sign(a)``, is the relaxation-guided adversarial example
     used by convex-relaxation adversarial training."""
     x0 = np.asarray(x0, dtype=np.float64).ravel()
-    stages = extract_affine_relu_stack(net)
+    stages = extract_affine_stages(net)
     if stages[-1].act_slope is not None:
         raise VerificationError("CROWN property bounding expects a linear output layer")
     pre = crown_preactivation_bounds(net, x0, eps, method=method)
@@ -189,7 +146,7 @@ def crown_preactivation_bounds(
     """
     x0 = np.asarray(x0, dtype=np.float64).ravel()
     x_lo, x_hi = x0 - eps, x0 + eps
-    extract_affine_relu_stack(net)  # validates the layout for both methods
+    extract_affine_stages(net)  # validates the layout for both methods
     if method not in ("crown", "crown-ibp"):
         raise VerificationError(f"unknown CROWN method {method!r}")
     if method == "crown":
@@ -210,7 +167,7 @@ def crown_margin_lower_bound(
     linear relaxation."""
     x0 = np.asarray(x0, dtype=np.float64).ravel()
     x_lo, x_hi = x0 - eps, x0 + eps
-    stages = extract_affine_relu_stack(net)
+    stages = extract_affine_stages(net)
     if stages[-1].act_slope is not None:
         raise VerificationError("CROWN property bounding expects a linear output layer")
     pre = crown_preactivation_bounds(net, x0, eps, method=method)

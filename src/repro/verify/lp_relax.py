@@ -1,4 +1,5 @@
-"""LP ("planet"/triangle) relaxation verifier.
+"""LP ("planet"/triangle) relaxation verifier, and the one network
+encoding behind every LP-based verifier.
 
 Grade ``LINEAR`` but tighter than single-pass CROWN: all neurons are
 constrained *jointly* in one linear program, with each unstable ReLU
@@ -6,19 +7,150 @@ replaced by its triangle relaxation (both lower faces plus the upper
 chord).  This is the MILP-relaxation class of verifier from §II-B-2 —
 "more quickly resolved and more scalable [than exact], but their
 effectiveness ... degrades" as the boxes widen.
+
+:func:`_encode` writes one Dense/(Leaky)ReLU stack as an LP — the
+variable layout, the input and pre-activation boxes, the affine rows
+and the objective — and leaves each activation to a per-neuron *rule*:
+the triangle here, the big-M binaries of :mod:`repro.verify.exact` and
+the fixed phases of :mod:`repro.verify.smt`.  The triangle LP is the
+per-neuron convex relaxation of the exact encodings, so the three
+differ in nothing else.
 """
 
 from __future__ import annotations
+
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.convex.lp import solve_lp
 from repro.convex.problem import LPProblem
 from repro.exceptions import VerificationError
+from repro.kernels.propagation import AffineStage, extract_affine_stages
 from repro.nn.network import Sequential
-from repro.verify.linear_bounds import crown_preactivation_bounds, extract_affine_relu_stack
+from repro.verify.linear_bounds import crown_preactivation_bounds
 
 __all__ = ["build_margin_lp", "lp_margin_lower_bound"]
+
+Boxes = List[Tuple[np.ndarray, np.ndarray]]
+
+
+def _stages_and_boxes(net: Sequential, x0: np.ndarray, eps: float, verifier: str,
+                      bounds_method: str = "crown", relu_only: bool = False
+                      ) -> Tuple[List[AffineStage], Boxes]:
+    """The encoder's entry: the network in stage form, checked to end in
+    a linear layer (and, for the exact verifiers, to use ReLU only), and
+    its pre-activation boxes on the eps-ball around ``x0``."""
+    stages = extract_affine_stages(net)
+    if stages[-1].act_slope is not None:
+        raise VerificationError(f"{verifier} verifier expects a linear output layer")
+    if relu_only and any(s.act_slope not in (0.0, None) for s in stages[:-1]):
+        raise VerificationError(f"{verifier} verifier supports pure-ReLU stacks only")
+    return stages, crown_preactivation_bounds(net, x0, eps, method=bounds_method)
+
+
+class _Encoding:
+    """An LP under construction: the boxes of the network's columns,
+    the columns a rule appends, and rows kept as ``(rhs, coefficients)``
+    with each coefficient a ``(column or slice, value)`` pair."""
+
+    def __init__(self, n: int):
+        self.lo = np.full(n, -np.inf)
+        self.hi = np.full(n, np.inf)
+        self.extra: List[Tuple[float, float]] = []
+        self.eq_rows: list = []
+        self.ineq_rows: list = []
+
+    def eq(self, rhs: float, *coefs) -> None:
+        self.eq_rows.append((rhs, coefs))
+
+    def ineq(self, rhs: float, *coefs) -> None:
+        self.ineq_rows.append((rhs, coefs))
+
+    def column(self, lo: float, hi: float) -> int:
+        """Append one column boxed to ``[lo, hi]``; returns its index."""
+        self.extra.append((lo, hi))
+        return self.lo.size + len(self.extra) - 1
+
+
+#: ``rule(enc, (stage, neuron), z, h, l, u, slope)`` encodes one
+#: activation ``h = act(z)`` whose pre-activation lies in ``[l, u]``
+Rule = Callable[[_Encoding, Tuple[int, int], int, int, float, float, float], None]
+
+
+def _stacked(rows: list, n: int) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+    if not rows:
+        return None, None
+    mat = np.zeros((len(rows), n))
+    for row, (_, coefs) in zip(mat, rows):
+        for col, value in coefs:
+            row[col] = value
+    return mat, np.asarray([rhs for rhs, _ in rows])
+
+
+def _encode(stages: List[AffineStage], pre: Boxes, x0: np.ndarray, eps: float,
+            c: np.ndarray, rule: Rule) -> LPProblem:
+    """``min c^T z_last`` over the network on the eps-ball, each
+    activation encoded by ``rule``.
+
+    Columns are ``[x, z_0, h_0, z_1, h_1, ..., z_last]`` and then the
+    columns ``rule`` appends; ``x`` is boxed to the ball and each ``z_k``
+    to its pre-activation box.  Rows run stage by stage: the affine
+    equalities ``z_k = h_{k-1} W_k + b_k``, then the stage's activation
+    rows, neuron by neuron.
+    """
+    n_in = x0.size
+    enc = _Encoding(n_in + sum(s.b.size * (1 if s.act_slope is None else 2) for s in stages))
+    enc.lo[:n_in] = x0 - eps
+    enc.hi[:n_in] = x0 + eps
+    prev = slice(0, n_in)  # the columns feeding the next stage
+    for k, stage in enumerate(stages):
+        z0, m = prev.stop, stage.b.size
+        enc.lo[z0 : z0 + m], enc.hi[z0 : z0 + m] = pre[k]
+        for j in range(m):
+            enc.eq(-float(stage.b[j]), (prev, stage.w[:, j]), (z0 + j, -1.0))
+        prev = slice(z0, z0 + m)
+        if stage.act_slope is not None:
+            h0 = z0 + m
+            for j, (l, u) in enumerate(zip(pre[k][0].tolist(), pre[k][1].tolist())):
+                rule(enc, (k, j), z0 + j, h0 + j, l, u, stage.act_slope)
+            prev = slice(h0, h0 + m)
+
+    n_all = enc.lo.size + len(enc.extra)
+    obj = np.zeros(n_all)
+    obj[prev] = np.asarray(c, dtype=np.float64).ravel()
+    g, h = _stacked(enc.ineq_rows, n_all)
+    a, b = _stacked(enc.eq_rows, n_all)
+    return LPProblem(
+        c=obj, g=g, h=h, a=a, b=b,
+        lo=np.concatenate([enc.lo, [lo for lo, _ in enc.extra]]),
+        hi=np.concatenate([enc.hi, [hi for _, hi in enc.extra]]),
+    )
+
+
+def _triangle(tight_boxes: bool) -> Rule:
+    """The triangle relaxation of (leaky-)ReLU: ``h = z`` or ``h = slope z``
+    on stable neurons, both lower faces and the upper chord otherwise."""
+
+    def rule(enc, key, z, h, l, u, slope):
+        if l >= 0.0:
+            enc.eq(0.0, (h, 1.0), (z, -1.0))  # active: h = z
+            if tight_boxes:
+                enc.lo[h], enc.hi[h] = l, u
+        elif u <= 0.0:
+            enc.eq(0.0, (h, 1.0), (z, -slope))  # inactive: h = slope z
+            if tight_boxes:
+                enc.lo[h] = min(slope * l, slope * u)
+                enc.hi[h] = max(slope * l, slope * u)
+        else:
+            enc.ineq(0.0, (z, 1.0), (h, -1.0))  # z - h <= 0
+            enc.ineq(0.0, (z, slope), (h, -1.0))  # slope z - h <= 0
+            chord = (u - slope * l) / (u - l)  # numlint: disable=NL002 -- unstable neurons satisfy l < 0 < u, so u - l > 0
+            enc.ineq(slope * l - chord * l, (h, 1.0), (z, -chord))  # h - chord z <= intercept
+            enc.lo[h] = min(0.0, slope * l)
+            enc.hi[h] = max(u, 0.0)
+
+    return rule
 
 
 def build_margin_lp(
@@ -44,119 +176,8 @@ def build_margin_lp(
     variable compact so the inner box minimization stays finite.
     """
     x0 = np.asarray(x0, dtype=np.float64).ravel()
-    stages = extract_affine_relu_stack(net)
-    if stages[-1].act_slope is not None:
-        raise VerificationError("LP verifier expects a linear output layer")
-    pre = crown_preactivation_bounds(net, x0, eps, method=bounds_method)
-
-    # variable layout: [x, z_0, h_0, z_1, h_1, ..., z_last]
-    n_in = x0.size
-    sizes = [n_in]
-    var_names = []
-    offsets = {"x": 0}
-    total = n_in
-    for k, stage in enumerate(stages):
-        m = stage.b.size
-        offsets[f"z{k}"] = total
-        total += m
-        if stage.act_slope is not None:
-            offsets[f"h{k}"] = total
-            total += m
-
-    lo = np.full(total, -np.inf)
-    hi = np.full(total, np.inf)
-    lo[:n_in] = x0 - eps
-    hi[:n_in] = x0 + eps
-    for k, stage in enumerate(stages):
-        z_off = offsets[f"z{k}"]
-        m = stage.b.size
-        lo[z_off : z_off + m] = pre[k][0]
-        hi[z_off : z_off + m] = pre[k][1]
-
-    eq_rows = []
-    eq_rhs = []
-    ineq_rows = []
-    ineq_rhs = []
-
-    def add_eq(row, rhs):
-        eq_rows.append(row)
-        eq_rhs.append(rhs)
-
-    def add_ineq(row, rhs):
-        ineq_rows.append(row)
-        ineq_rhs.append(rhs)
-
-    prev_off = offsets["x"]
-    prev_dim = n_in
-    for k, stage in enumerate(stages):
-        z_off = offsets[f"z{k}"]
-        m = stage.b.size
-        # z_k = prev @ W + b
-        for j in range(m):
-            row = np.zeros(total)
-            row[prev_off : prev_off + prev_dim] = stage.w[:, j]
-            row[z_off + j] = -1.0
-            add_eq(row, -float(stage.b[j]))
-        if stage.act_slope is None:
-            prev_off, prev_dim = z_off, m
-            continue
-        h_off = offsets[f"h{k}"]
-        slope = stage.act_slope
-        lo_k, hi_k = pre[k]
-        for j in range(m):
-            l, u = float(lo_k[j]), float(hi_k[j])
-            if l >= 0.0:
-                # active: h = z
-                row = np.zeros(total)
-                row[h_off + j] = 1.0
-                row[z_off + j] = -1.0
-                add_eq(row, 0.0)
-                if tight_boxes:
-                    lo[h_off + j] = l
-                    hi[h_off + j] = u
-            elif u <= 0.0:
-                # inactive: h = slope * z
-                row = np.zeros(total)
-                row[h_off + j] = 1.0
-                row[z_off + j] = -slope
-                add_eq(row, 0.0)
-                if tight_boxes:
-                    lo[h_off + j] = min(slope * l, slope * u)
-                    hi[h_off + j] = max(slope * l, slope * u)
-            else:
-                # triangle: h >= z ; h >= slope z ; h <= chord
-                row = np.zeros(total)
-                row[z_off + j] = 1.0
-                row[h_off + j] = -1.0
-                add_ineq(row, 0.0)  # z - h <= 0
-                row = np.zeros(total)
-                row[z_off + j] = slope
-                row[h_off + j] = -1.0
-                add_ineq(row, 0.0)  # slope z - h <= 0
-                chord = (u - slope * l) / (u - l)  # numlint: disable=NL002 -- unstable neurons satisfy l < 0 < u, so u - l > 0
-                inter = slope * l - chord * l
-                row = np.zeros(total)
-                row[h_off + j] = 1.0
-                row[z_off + j] = -chord
-                add_ineq(row, inter)  # h - chord z <= intercept
-                lo[h_off + j] = min(0.0, slope * l)
-                hi[h_off + j] = max(u, 0.0)
-        prev_off, prev_dim = h_off, m
-
-    c = np.asarray(c, dtype=np.float64).ravel()
-    obj = np.zeros(total)
-    z_last = offsets[f"z{len(stages) - 1}"]
-    obj[z_last : z_last + stages[-1].b.size] = c
-
-    return LPProblem(
-        c=obj,
-        g=np.asarray(ineq_rows) if ineq_rows else None,
-        h=np.asarray(ineq_rhs) if ineq_rhs else None,
-        a=np.asarray(eq_rows),
-        b=np.asarray(eq_rhs),
-        lo=lo,
-        hi=hi,
-    )
+    stages, pre = _stages_and_boxes(net, x0, eps, "LP", bounds_method)
+    return _encode(stages, pre, x0, eps, c, _triangle(tight_boxes))
 
 
 def lp_margin_lower_bound(

@@ -19,15 +19,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.exceptions import InfeasibleError, VerificationError
 from repro.convex.lp import solve_lp
-from repro.convex.problem import LPProblem
+from repro.exceptions import InfeasibleError
 from repro.nn.network import Sequential
-from repro.verify.linear_bounds import crown_preactivation_bounds, extract_affine_relu_stack
+from repro.verify.lp_relax import _encode, _stages_and_boxes
 
 __all__ = ["SMTResult", "smt_margin_bound"]
 
@@ -45,101 +45,40 @@ class SMTResult:
     converged: bool
 
 
-def _leaf_lp(stages, pre, phase: Phase, x0, eps, c):
-    """Build the LP for a (possibly partial) phase assignment.
+def _phase_fixed(phase: Phase, remaining: List[Tuple[int, int]],
+                 enc, key, z, h, l, u, slope) -> None:
+    """ReLU under a (possibly partial) phase assignment.
 
     Fixed-active neurons contribute ``h = z`` (with ``z >= 0``);
     fixed-inactive contribute ``h = 0`` (with ``z <= 0``); still-unstable
-    neurons keep the triangle relaxation.  Returns the LP and the list of
-    remaining unstable neurons.
+    neurons, appended to ``remaining``, keep a relaxation that leans on
+    the ``h >= 0`` box: ``h >= z`` and the upper chord.
     """
-    n_in = x0.size
-    offsets = {"x": 0}
-    total = n_in
-    for k, stage in enumerate(stages):
-        m = stage.b.size
-        offsets[f"z{k}"] = total
-        total += m
-        if stage.act_slope is not None:
-            offsets[f"h{k}"] = total
-            total += m
+    decided = phase.get(key)
+    if l >= 0.0 or decided is True:
+        enc.eq(0.0, (h, 1.0), (z, -1.0))  # active: h = z, z >= max(l, 0)
+        enc.lo[z] = max(l, 0.0)
+        enc.lo[h] = max(l, 0.0)
+        enc.hi[h] = max(u, 0.0)
+    elif u <= 0.0 or decided is False:
+        enc.eq(0.0, (h, 1.0))  # inactive: h = 0, z <= min(u, 0)
+        enc.hi[z] = min(u, 0.0)
+        enc.lo[h] = enc.hi[h] = 0.0
+    else:
+        remaining.append(key)
+        enc.ineq(0.0, (z, 1.0), (h, -1.0))
+        chord = u / (u - l)  # numlint: disable=NL002 -- unstable neurons satisfy l < 0 < u, so u - l > 0
+        enc.ineq(-chord * l, (h, 1.0), (z, -chord))
+        enc.lo[h] = 0.0
+        enc.hi[h] = max(u, 0.0)
 
-    lo = np.full(total, -np.inf)
-    hi = np.full(total, np.inf)
-    lo[:n_in] = x0 - eps
-    hi[:n_in] = x0 + eps
-    eq_rows, eq_rhs, ineq_rows, ineq_rhs = [], [], [], []
+
+def _leaf_lp(stages, pre, phase: Phase, x0, eps, c):
+    """The LP of a (possibly partial) phase assignment, and the list of
+    its remaining unstable neurons."""
     remaining: List[Tuple[int, int]] = []
-
-    prev_off, prev_dim = offsets["x"], n_in
-    for k, stage in enumerate(stages):
-        z_off = offsets[f"z{k}"]
-        m = stage.b.size
-        lo[z_off : z_off + m] = pre[k][0]
-        hi[z_off : z_off + m] = pre[k][1]
-        for j in range(m):
-            row = np.zeros(total)
-            row[prev_off : prev_off + prev_dim] = stage.w[:, j]
-            row[z_off + j] = -1.0
-            eq_rows.append(row)
-            eq_rhs.append(-float(stage.b[j]))
-        if stage.act_slope is None:
-            prev_off, prev_dim = z_off, m
-            continue
-        h_off = offsets[f"h{k}"]
-        for j in range(m):
-            l, u = float(pre[k][0][j]), float(pre[k][1][j])
-            key = (k, j)
-            decided = phase.get(key)
-            if l >= 0.0 or decided is True:
-                # active: h = z, z >= max(l, 0)
-                row = np.zeros(total)
-                row[h_off + j] = 1.0
-                row[z_off + j] = -1.0
-                eq_rows.append(row)
-                eq_rhs.append(0.0)
-                lo[z_off + j] = max(l, 0.0)
-                lo[h_off + j] = max(l, 0.0)
-                hi[h_off + j] = max(u, 0.0)
-            elif u <= 0.0 or decided is False:
-                # inactive: h = 0, z <= min(u, 0)
-                row = np.zeros(total)
-                row[h_off + j] = 1.0
-                eq_rows.append(row)
-                eq_rhs.append(0.0)
-                hi[z_off + j] = min(u, 0.0)
-                lo[h_off + j] = hi[h_off + j] = 0.0
-            else:
-                remaining.append(key)
-                # triangle relaxation
-                row = np.zeros(total)
-                row[z_off + j] = 1.0
-                row[h_off + j] = -1.0
-                ineq_rows.append(row)
-                ineq_rhs.append(0.0)
-                chord = u / (u - l)  # numlint: disable=NL002 -- unstable neurons satisfy l < 0 < u, so u - l > 0
-                row = np.zeros(total)
-                row[h_off + j] = 1.0
-                row[z_off + j] = -chord
-                ineq_rows.append(row)
-                ineq_rhs.append(-chord * l)
-                lo[h_off + j] = 0.0
-                hi[h_off + j] = max(u, 0.0)
-        prev_off, prev_dim = h_off, m
-
-    obj = np.zeros(total)
-    z_last = offsets[f"z{len(stages) - 1}"]
-    obj[z_last : z_last + stages[-1].b.size] = np.asarray(c, dtype=np.float64)
-    lp = LPProblem(
-        c=obj,
-        g=np.asarray(ineq_rows) if ineq_rows else None,
-        h=np.asarray(ineq_rhs) if ineq_rhs else None,
-        a=np.asarray(eq_rows),
-        b=np.asarray(eq_rhs),
-        lo=lo,
-        hi=hi,
-    )
-    return lp, remaining, offsets
+    lp = _encode(stages, pre, x0, eps, c, partial(_phase_fixed, phase, remaining))
+    return lp, remaining
 
 
 def smt_margin_bound(
@@ -156,13 +95,7 @@ def smt_margin_bound(
     case splits on ReLU phases (pure-ReLU stacks only)."""
     x0 = np.asarray(x0, dtype=np.float64).ravel()
     c = np.asarray(c, dtype=np.float64).ravel()
-    stages = extract_affine_relu_stack(net)
-    if stages[-1].act_slope is not None:
-        raise VerificationError("SMT verifier expects a linear output layer")
-    for s in stages[:-1]:
-        if s.act_slope not in (0.0, None):
-            raise VerificationError("SMT verifier supports pure-ReLU stacks only")
-    pre = crown_preactivation_bounds(net, x0, eps, method="crown")
+    stages, pre = _stages_and_boxes(net, x0, eps, "SMT", relu_only=True)
 
     start = clock()
     best = np.inf
@@ -181,7 +114,7 @@ def smt_margin_bound(
             break
         phase = stack.pop()
         try:
-            lp, remaining, _ = _leaf_lp(stages, pre, phase, x0, eps, c)
+            lp, remaining = _leaf_lp(stages, pre, phase, x0, eps, c)
             sol = solve_lp(lp)
         except InfeasibleError:
             continue

@@ -89,6 +89,17 @@ class VerificationResult:
         return METHOD_GRADES[self.method]
 
 
+def _record_query(method: str, verified: bool, bound: float) -> None:
+    """Count one answered query (and its proof) and histogram its margin."""
+    metrics = get_metrics()
+    metrics.counter("verifier.queries", method=method).inc()
+    if verified:
+        metrics.counter("verifier.verified", method=method).inc()
+    if np.isfinite(bound):
+        metrics.histogram("verifier.margin", buckets=MARGIN_BUCKETS,
+                          method=method).observe(float(bound))
+
+
 def verify(net: Sequential, spec: RobustnessSpec, method: Method = "crown",
            max_nodes: int = 20000, time_limit: float = float("inf"),
            clock: Callable[[], float] = time.perf_counter) -> VerificationResult:
@@ -124,13 +135,7 @@ def verify(net: Sequential, spec: RobustnessSpec, method: Method = "crown",
             complete = res.converged
         verified = bound > 0.0
         span.set(verified=verified, margin=float(bound))
-    metrics = get_metrics()
-    metrics.counter("verifier.queries", method=method).inc()
-    if verified:
-        metrics.counter("verifier.verified", method=method).inc()
-    if np.isfinite(bound):
-        metrics.histogram("verifier.margin", buckets=MARGIN_BUCKETS,
-                          method=method).observe(float(bound))
+    _record_query(method, verified, bound)
     return VerificationResult(
         method=method,
         verified=verified,
@@ -307,17 +312,11 @@ def _verify_chunk(task) -> List[VerificationResult]:
             margins = crown_margin_batch(net, x0, eps, c, d)
         span.set(verified=int(np.sum(margins > 0.0)))
     per_spec = (time.perf_counter() - start) / max(len(specs), 1)
-    metrics = get_metrics()
     out: List[VerificationResult] = []
     for m in margins:
         bound = float(m)
         verified = bound > 0.0
-        metrics.counter("verifier.queries", method=method).inc()
-        if verified:
-            metrics.counter("verifier.verified", method=method).inc()
-        if np.isfinite(bound):
-            metrics.histogram("verifier.margin", buckets=MARGIN_BUCKETS,
-                              method=method).observe(bound)
+        _record_query(method, verified, bound)
         out.append(VerificationResult(
             method=method, verified=verified, margin_lower_bound=bound,
             wall_time=per_spec, complete=False))

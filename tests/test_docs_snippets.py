@@ -1,6 +1,9 @@
 """Executable-documentation tests: every python block in docs/TUTORIAL.md
-and README.md must actually run — broken snippets are worse than none."""
+and README.md must actually run, and every ``repro.…`` name the prose
+cites must exist — broken snippets and dead references are worse than
+none."""
 
+import importlib
 import pathlib
 import re
 
@@ -65,3 +68,37 @@ class TestReadmeSnippets:
         for block in blocks:
             exec(compile(block, "<readme>", "exec"), namespace)
         assert namespace["report"].stages
+
+
+#: the hand-written docs; docs/API.md is generated from the code itself
+_PROSE = [p for p in sorted((ROOT / "docs").glob("*.md")) if p.name != "API.md"] + [
+    ROOT / "README.md", ROOT / "DESIGN.md", ROOT / "EXPERIMENTS.md"]
+_DOTTED = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)`")
+
+
+def _resolve(name: str):
+    """Import the longest module prefix of ``name``, then ``getattr``
+    the rest; raises when any part is missing."""
+    parts = name.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[i:]:
+            obj = getattr(obj, attr)
+        return obj
+    raise ModuleNotFoundError(name)
+
+
+def test_cited_repro_names_resolve():
+    cited = sorted({(path.name, m.group(1)) for path in _PROSE
+                    for m in _DOTTED.finditer(path.read_text())})
+    assert len(cited) > 50, "the name pattern stopped matching the docs"
+    dead = []
+    for doc, name in cited:
+        try:
+            _resolve(name)
+        except (ImportError, AttributeError):
+            dead.append(f"{doc}: {name}")
+    assert not dead, f"docs cite names that do not exist: {dead}"

@@ -186,9 +186,9 @@ class TestAmbientRegistry:
             set_metrics(before)
 
     def test_record_solver_outcome_converged(self):
-        reg = MetricsRegistry()
-        record_solver_outcome("admm", iterations=42, converged=True,
-                              residual=1e-7, registry=reg)
+        with use_metrics(MetricsRegistry()) as reg:
+            record_solver_outcome("admm", iterations=42, converged=True,
+                                  residual=1e-7)
         assert reg.counter_value("solver.solves", solver="admm") == 1.0
         assert reg.counter_value("solver.failures", solver="admm") == 0.0
         hist = reg.histogram("solver.iterations", solver="admm")
@@ -197,9 +197,9 @@ class TestAmbientRegistry:
         assert reg.histogram("solver.residual", solver="admm").count == 1
 
     def test_record_solver_outcome_failure_and_nan_residual(self):
-        reg = MetricsRegistry()
-        record_solver_outcome("sdp", iterations=500, converged=False,
-                              residual=math.nan, registry=reg)
+        with use_metrics(MetricsRegistry()) as reg:
+            record_solver_outcome("sdp", iterations=500, converged=False,
+                                  residual=math.nan)
         assert reg.counter_value("solver.failures", solver="sdp") == 1.0
         # a non-finite residual must not be observed
         assert reg.histogram("solver.residual", solver="sdp").count == 0
@@ -209,3 +209,16 @@ class TestAmbientRegistry:
         with use_metrics(fresh):
             record_solver_outcome("qp", iterations=3, converged=True)
         assert fresh.counter_value("solver.solves", solver="qp") == 1.0
+
+    def test_record_solver_outcome_follows_registry_swaps_and_resets(self):
+        first, second = MetricsRegistry(), MetricsRegistry()
+        for reg in (first, second, first):
+            with use_metrics(reg):
+                record_solver_outcome("qp", iterations=3, converged=False)
+        assert first.counter_value("solver.failures", solver="qp") == 2.0
+        assert second.counter_value("solver.failures", solver="qp") == 1.0
+        first.reset()
+        with use_metrics(first):
+            record_solver_outcome("qp", iterations=3, converged=True)
+        assert first.counter_value("solver.solves", solver="qp") == 1.0
+        assert first.counter_value("solver.failures", solver="qp") == 0.0

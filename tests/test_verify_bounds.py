@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import VerificationError
+from repro.kernels.propagation import extract_affine_stages
 from repro.nn import Dense, LeakyReLU, ReLU, Sequential, Tanh
 from repro.verify import (
     LayerBounds,
     crown_input_linear_form,
     crown_margin_lower_bound,
     crown_preactivation_bounds,
-    extract_affine_relu_stack,
     ibp_margin_lower_bound,
     ibp_output_bounds,
     lp_margin_lower_bound,
@@ -89,7 +89,7 @@ class TestCROWN:
         rng = np.random.default_rng(2)
         net = Sequential([Dense(2, 3, rng=rng), Tanh(), Dense(3, 1, rng=rng)])
         with pytest.raises(VerificationError):
-            extract_affine_relu_stack(net)
+            extract_affine_stages(net)
 
     def test_usually_tighter_than_ibp(self):
         """CROWN dominates IBP on *most* instances but not provably on all
@@ -123,7 +123,7 @@ class TestCROWN:
         x0 = np.array([0.0, 0.0])
         eps = 0.1
         pre = crown_preactivation_bounds(net, x0, eps, method="crown")
-        stages = extract_affine_relu_stack(net)
+        stages = extract_affine_stages(net)
         rng = np.random.default_rng(7)
         for _ in range(500):
             x = x0 + eps * (rng.random(2) * 2 - 1)

@@ -128,7 +128,7 @@ def _encodings(monkeypatch) -> dict:
         stages = extract_affine_stages(net)
         pre = crown_preactivation_bounds(net, x0, eps, method="crown")
         for i, phase in enumerate(_smt_phases(seed, stages)):
-            lp, remaining = _leaf_lp(stages, pre, phase, x0, eps, c)[:2]
+            lp, remaining = _leaf_lp(stages, pre, phase, x0, eps, c)
             out[f"{name}/smt-{i}"] = _lp_digest(lp, remaining)
     return out
 
