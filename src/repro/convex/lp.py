@@ -8,18 +8,21 @@ dense, small-to-medium instances this library generates.
 Every pivot is bit-identical to the row-by-row loop kept as the test
 oracle :func:`repro.kernels.reference.solve_lp_reference`: the array
 forms below only remove interpreter overhead, never reorder a sum.
-:func:`solve_lp_batch` runs many independent LPs of one shape through
-one lockstep (stacked) simplex whose every member is byte-identical to
-its own :func:`solve_lp` call.  Given a parent's :class:`NodeHandle`,
-:func:`solve_lp` bounds a branch-and-bound node from the parent's final
-tableau: a few dual-simplex pivots (:func:`screen_node`) may prove the
-node prunes or reach its optimum, and only the nodes they leave
-unproven get the cold two-phase solve.
+Phase 1 starts from the slack basis: only rows without a unit column
+(rows flipped to ``b >= 0``, equality rows) start on an artificial.
+:func:`solve_lp_batch` builds the standard forms of same-structure LPs
+as one stack and runs each same-shape group through one lockstep
+(stacked) simplex; every member is byte-identical to its own
+:func:`solve_lp` call.  Given a node box and its parent's
+:class:`NodeHandle`, :func:`solve_lp` bounds a branch-and-bound node
+from the parent's form and final tableau: a few dual-simplex pivots
+(:func:`screen_node`) may prove the node prunes or reach its optimum,
+and only the nodes they leave unproven get the cold two-phase solve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
@@ -40,7 +43,8 @@ _EPS = 1e-9
 
 #: narrowest same-shape group worth one stacked simplex; narrower groups
 #: run per LP.  Set from the per-LP cost table of the ``simplex_lp_stack``
-#: family in ``benchmarks/bench_kernels.py`` (break-even near width 6)
+#: family in ``benchmarks/bench_kernels.py`` (stacked loses at width 4,
+#: wins from 6)
 _STACK_MIN_WIDTH = 6
 
 #: bucket edges of the ``convex.lp.stack_width`` histogram
@@ -52,6 +56,9 @@ Outcome = Union[Solution, ReproError]
 #: what :func:`_simplex` returns: ``(x, objective, pivots, final phase-2
 #: tableau, basis)``
 Raw = Tuple[np.ndarray, float, int, np.ndarray, np.ndarray]
+
+#: a branch-and-bound node's box ``(lo, hi)``
+Box = Tuple[np.ndarray, np.ndarray]
 
 
 def _pivot(t: np.ndarray, basis: np.ndarray, allowed_cols: int, max_iter: int) -> int:
@@ -188,17 +195,33 @@ def _pivot_stack(t: np.ndarray, basis: np.ndarray, allowed_cols: int,
     return pivots, errors
 
 
-def _phase1_tableau(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _phase1_basis(a: np.ndarray) -> np.ndarray:
+    """The phase-1 starting basis of (sign-flipped) ``a``, which may carry
+    a leading stack axis: a row holding a unit column of ``a`` (its own
+    slack where ``b_i >= 0``) starts with the last such column basic;
+    every other row ``i`` starts on its artificial ``n + i``."""
+    m, n = a.shape[-2:]
+    unit = (a == 1.0) & ((a != 0.0).sum(axis=-2) == 1)[..., None, :]  # numlint: disable=NL001 -- a unit column holds exactly 1.0
+    last = np.where(unit, np.arange(n), -1).max(axis=-1, initial=-1)
+    return np.where(last >= 0, last, np.arange(n, n + m))
+
+
+def _phase1_tableau(a: np.ndarray, b: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Phase-1 tableau(s) ``[A | I | b]`` over the objective row "minimize
-    the sum of artificials", artificials priced out; ``a``/``b`` may carry
-    a leading stack axis."""
+    the sum of artificials", with the artificials that start ``basis``
+    (the rows whose entry is ``>= n``) priced out; ``a``/``b``/``basis``
+    may carry a leading stack axis."""
     m, n = a.shape[-2:]
     tableau = np.zeros(a.shape[:-2] + (m + 1, n + m + 1))
     tableau[..., :m, :n] = a
     tableau[..., :m, n:n + m] = np.eye(m)
     tableau[..., :m, -1] = b
     tableau[..., m, n:n + m] = 1.0
-    tableau[..., m, :] -= tableau[..., :m, :].sum(axis=-2)
+    # the other rows add exact zeros: only a zero's sign can differ from
+    # summing the artificial rows alone, and subtracting from 0 or 1
+    # erases it
+    artificial = (basis >= n)[..., None]
+    tableau[..., m, :] -= np.where(artificial, tableau[..., :m, :], 0.0).sum(axis=-2)
     return tableau
 
 
@@ -221,7 +244,7 @@ def _drive_out_artificials(tableau: np.ndarray, basis: np.ndarray, n: int) -> No
 def _feas_tol(b: np.ndarray) -> float:
     """The feasibility tolerance ``1e-7 max(1, max|b|)`` the cold phase 1
     judges a right-hand side ``b`` by."""
-    return 1e-7 * max(1.0, float(np.max(np.abs(b), initial=0.0)))
+    return 1e-7 * max(1.0, float(np.abs(b).max(initial=0.0)))
 
 
 def _simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray,
@@ -238,9 +261,9 @@ def _simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     a[neg] *= -1.0
     b[neg] *= -1.0
 
-    # phase 1: minimize the sum of artificial variables
-    tableau = _phase1_tableau(a, b)
-    basis = np.arange(n, n + m)
+    # phase 1: minimize the sum of artificial variables, from the slacks
+    basis = _phase1_basis(a)
+    tableau = _phase1_tableau(a, b, basis)
     iterations = _pivot(tableau, basis, n + m, max_iter)
     if tableau[m, -1] < -_feas_tol(b):
         raise InfeasibleError(f"phase-1 objective {-tableau[m, -1]:.3e} > 0: infeasible")
@@ -252,7 +275,7 @@ def _simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     phase2[:m, -1] = tableau[:m, -1]
     phase2[m, :n] = c
     for i, bi in enumerate(basis):
-        if bi < n and abs(phase2[m, bi]) > _EPS:
+        if bi < n and phase2[m, bi] != 0.0:
             phase2[m, :] -= phase2[m, bi] * phase2[i, :]
     iterations += _pivot(phase2, basis, n, max_iter)
 
@@ -273,8 +296,8 @@ def _simplex_stack(a: np.ndarray, b: np.ndarray, c: np.ndarray, max_iter: int
     a[neg] *= -1.0
     b[neg] *= -1.0
 
-    tableau = _phase1_tableau(a, b)
-    basis = np.tile(np.arange(n, n + m), (k, 1))
+    basis = _phase1_basis(a)
+    tableau = _phase1_tableau(a, b, basis)
     pivots, errors = _pivot_stack(tableau, basis, n + m, max_iter)
     feas_tol = 1e-7 * np.maximum(1.0, np.max(np.abs(b), axis=1, initial=0.0))
     for i in range(k):
@@ -294,12 +317,12 @@ def _simplex_stack(a: np.ndarray, b: np.ndarray, c: np.ndarray, max_iter: int
     phase2[:, :m, :n] = tableau[members, :m, :n]
     phase2[:, :m, -1] = tableau[members, :m, -1]
     phase2[:, m, :n] = c[members]
-    # price out the basic columns one basis row at a time, as _simplex does
-    for i in range(m):
-        bi = basis[:, i]
-        structural = bi < n
-        factor = phase2[at, m, np.where(structural, bi, 0)]
-        use = structural & (np.abs(factor) > _EPS)
+    # price out the basic columns one basis row at a time, as _simplex
+    # does (rows where no member holds a structural column have none)
+    structural = basis < n
+    for i in structural.any(axis=0).nonzero()[0]:
+        factor = phase2[at, m, np.where(structural[:, i], basis[:, i], 0)]
+        use = structural[:, i] & (factor != 0.0)
         if use.any():
             phase2[use, m, :] -= factor[use, None] * phase2[use, i, :]
     pivots2, errors2 = _pivot_stack(phase2, basis, n, max_iter)
@@ -326,16 +349,17 @@ def simplex_standard_form(
     return x, objective
 
 
-def _check_finite(problem: LPProblem, data: bool = True) -> None:
-    """Reject NaN/inf data (and NaN bounds) before any tableau exists:
-    the simplex would otherwise report a NaN optimum as converged.
-    ``data=False`` checks the bounds only."""
+def _check_finite(problem: LPProblem, lo: np.ndarray, hi: np.ndarray,
+                  data: bool = True) -> None:
+    """Reject NaN/inf data (and NaN bounds ``lo``/``hi``) before any
+    tableau exists: the simplex would otherwise report a NaN optimum as
+    converged.  ``data=False`` checks the bounds only."""
     for name in ("c", "g", "h", "a", "b") if data else ():
         value = getattr(problem, name)
         if value is not None and not np.isfinite(value).all():
             raise NumericalInstabilityError(f"LP data {name!r} has non-finite entries")
-    for name in ("lo", "hi"):
-        if np.isnan(getattr(problem, name)).any():
+    for name, bound in (("lo", lo), ("hi", hi)):
+        if np.isnan(bound).any():
             raise NumericalInstabilityError(f"LP bound {name!r} has NaN entries")
 
 
@@ -344,7 +368,11 @@ class _StandardForm:
     """``min c^T z``, ``A z = b``, ``z >= 0`` for one :class:`LPProblem`,
     plus the map back: ``x = z[col_pos] - z[col_neg] (free) + shift``.
     ``upper`` lists the variables with an upper-bound row and ``n_eq``
-    counts the leading equality rows (the only rows without a slack)."""
+    counts the leading equality rows (the only rows without a slack).
+    ``memo`` holds what only the matrix decides: the finite/infinite
+    pattern of the bounds it was built for (``"pattern"``) and what
+    :func:`_column_caps` derives from it; the forms patched from this one
+    share it."""
 
     a: np.ndarray
     b: np.ndarray
@@ -356,6 +384,7 @@ class _StandardForm:
     const: float
     upper: np.ndarray
     n_eq: int
+    memo: dict = field(compare=False, repr=False)
 
     def solution(self, raw: Raw, status: str = "optimal") -> Solution:
         """The :class:`Solution` of a :func:`_simplex` (or warm
@@ -372,72 +401,161 @@ class _StandardForm:
                         handle=NodeHandle(self, tableau, basis) if screenable else None)
 
 
-def _standard_form(problem: LPProblem, template: _StandardForm | None = None
-                   ) -> _StandardForm:
-    """Free variables are split, finite lower bounds shifted to zero,
-    finite upper bounds become inequality rows, inequalities get slacks.
+def _node_bounds(problem: LPProblem, box: Box | None) -> Tuple[np.ndarray, np.ndarray]:
+    """``problem``'s bounds tightened to ``box`` (``lo``/``hi`` themselves
+    when there is none), as ``MILPModel.relaxation`` tightens them."""
+    if box is None:
+        return problem.lo, problem.hi
+    return np.maximum(problem.lo, box[0]), np.minimum(problem.hi, box[1])
 
-    ``template`` is the form of a problem that differs from ``problem``
-    at most in ``lo``/``hi``.  When the finite/infinite pattern of the
-    bounds matches too, the matrix, costs and column map are the
-    template's own arrays and only the bound-dependent parts (shift,
-    right-hand side, constant) are built, by the same code as a fresh
-    build, so every byte agrees with ``_standard_form(problem)``.  The
-    data a template shares was checked when the template was built, so
-    only the bounds are checked again; a form built afresh checks all of
-    its data.
-    """
-    _check_finite(problem, data=template is None)
-    n = problem.dim
-    c, lo, hi = problem.c, problem.lo, problem.hi
 
-    # variable mapping: x_j = (pos_j - neg_j) + shift_j
-    # finite lower bound -> shift; infinite lower bound -> split
-    bounded = np.isfinite(lo)
-    free = (~bounded).nonzero()[0]
-    upper = np.isfinite(hi).nonzero()[0]
-    shift = np.where(bounded, lo, 0.0)
+def _blocks(problem: LPProblem) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """``problem``'s row blocks ``(matrix, right-hand side)``: equality
+    rows first, then inequality rows."""
+    return [(m, v) for m, v in ((problem.a, problem.b), (problem.g, problem.h))
+            if m is not None]
 
-    # equality rows, inequality rows, then one row per finite upper bound;
-    # each right-hand side is its own row-by-shift dot product, as in the
-    # oracle (a stacked 1 x n by n x 1 matmul per row; ``m @ shift`` is a
-    # matrix-vector kernel that can round differently)
-    blocks = [(m, v) for m, v in ((problem.a, problem.b), (problem.g, problem.h))
-              if m is not None]
-    b_std = np.concatenate(
-        [v - np.matmul(m[:, None, :], shift[:, None])[:, 0, 0] for m, v in blocks]
-        + [hi[upper] - shift[upper]])
-    const = float(c @ shift)
-    if (template is not None and np.array_equal(free, template.free)
-            and np.array_equal(upper, template.upper)):
-        return _StandardForm(template.a, b_std, template.c, template.col_pos, free,
-                             template.col_neg, shift, const, upper, template.n_eq)
-    if template is not None:
-        _check_finite(problem)
 
-    width = np.where(bounded, 1, 2)
+def _right_hand_side(blocks: Sequence[Tuple[np.ndarray, np.ndarray]], hi: np.ndarray,
+                     upper: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """The standard form's right-hand side: the rows of ``blocks``, then
+    one row per finite upper bound.  Each row's is its own row-by-shift
+    dot product, as in the oracle (a stacked 1 x n by n x 1 matmul per
+    row; ``m @ shift`` is a matrix-vector kernel that can round
+    differently).  Every array may carry a leading stack axis."""
+    parts = [v - np.matmul(m[..., None, :], shift[..., None, :, None])[..., 0, 0]
+             for m, v in blocks]
+    parts.append(hi.take(upper, axis=-1) - shift.take(upper, axis=-1))
+    return np.concatenate(parts, axis=-1)
+
+
+def _standard_matrix(c: np.ndarray, blocks: Sequence[Tuple[np.ndarray, np.ndarray]],
+                     n_eq: int, free: np.ndarray, upper: np.ndarray
+                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The bound-independent part of a standard form, ``(A, c, col_pos,
+    col_neg)``, for costs ``c``, row ``blocks`` whose first ``n_eq`` rows
+    are equalities, and the given free and upper-bounded variables.
+    Every array may carry a leading stack axis."""
+    n = c.shape[-1]
+    width = np.ones(n, dtype=np.int64)
+    width[free] = 2
     col_pos = np.cumsum(width) - width
     col_neg = col_pos[free] + 1
     n_std = int(width.sum())
-    rows = np.vstack([m for m, _ in blocks] + [np.eye(n)[upper]])
-    n_eq = 0 if problem.a is None else problem.a.shape[0]
-    n_slack = rows.shape[0] - n_eq
+    eye = np.broadcast_to(np.eye(n)[upper], c.shape[:-1] + (upper.size, n))
+    rows = np.concatenate([m for m, _ in blocks] + [eye], axis=-2)
+    n_slack = rows.shape[-2] - n_eq
 
     # accumulate onto zeros (not assign) like the oracle's expand_row, so
     # a -0.0 entry becomes +0.0 exactly as it did there
-    a_std = np.zeros((rows.shape[0], n_std + n_slack))
-    a_std[:, col_pos] += rows
-    a_std[:, col_neg] -= rows[:, free]
-    a_std[n_eq:, n_std:] = np.eye(n_slack)
+    a_std = np.zeros(rows.shape[:-1] + (n_std + n_slack,))
+    a_std[..., col_pos] += rows
+    a_std[..., col_neg] -= rows[..., free]
+    a_std[..., n_eq:, n_std:] = np.eye(n_slack)
 
-    c_std = np.zeros(n_std + n_slack)
-    c_std[col_pos] += c
-    c_std[col_neg] -= c[free]
-    return _StandardForm(a_std, b_std, c_std, col_pos, free, col_neg, shift, const,
-                         upper, n_eq)
+    c_std = np.zeros(c.shape[:-1] + (n_std + n_slack,))
+    c_std[..., col_pos] += c
+    c_std[..., col_neg] -= c[..., free]
+    return a_std, c_std, col_pos, col_neg
 
 
-def solve_lp(problem: LPProblem, max_iter: int = 10000, *,
+def _standard_form(problem: LPProblem, template: _StandardForm | None = None,
+                   box: Box | None = None) -> _StandardForm:
+    """Free variables are split, finite lower bounds shifted to zero,
+    finite upper bounds become inequality rows, inequalities get slacks.
+
+    ``box`` is a branch-and-bound node's ``(lo, hi)``: the form is then
+    that of ``problem`` with its bounds tightened to the box (see
+    :func:`_node_bounds`), built without that problem.  ``template`` is
+    the form of a problem that differs from this one at most in its
+    bounds.  When the finite/infinite pattern of the bounds matches too,
+    the matrix, costs and column map are the template's own arrays and
+    only the bound-dependent parts (shift, right-hand side, constant)
+    are built, by the same code as a fresh build, so every byte agrees
+    with a fresh build.  The data a template shares was checked when the
+    template was built, so only the bounds are checked again; a form
+    built afresh checks all of its data.
+    """
+    lo, hi = _node_bounds(problem, box)
+    _check_finite(problem, lo, hi, data=template is None)
+
+    # variable mapping: x_j = (pos_j - neg_j) + shift_j
+    # finite lower bound -> shift; infinite lower bound -> split
+    pattern = np.isfinite(lo), np.isfinite(hi)
+    shift = np.where(pattern[0], lo, 0.0)
+    blocks = _blocks(problem)
+    if template is not None and all(
+            (mask == held).all() for mask, held in zip(pattern, template.memo["pattern"])):
+        b_std = _right_hand_side(blocks, hi, template.upper, shift)
+        return _StandardForm(template.a, b_std, template.c, template.col_pos,
+                             template.free, template.col_neg, shift,
+                             float(problem.c @ shift), template.upper, template.n_eq,
+                             template.memo)
+    if template is not None:
+        _check_finite(problem, lo, hi)
+    free = (~pattern[0]).nonzero()[0]
+    upper = pattern[1].nonzero()[0]
+    n_eq = 0 if problem.a is None else problem.a.shape[0]
+    a_std, c_std, col_pos, col_neg = _standard_matrix(problem.c, blocks, n_eq, free, upper)
+    return _StandardForm(a_std, _right_hand_side(blocks, hi, upper, shift), c_std,
+                         col_pos, free, col_neg, shift, float(problem.c @ shift), upper,
+                         n_eq, {"pattern": pattern})
+
+
+def _standard_forms(problems: Sequence[LPProblem]) -> List[_StandardForm | ReproError]:
+    """``_standard_form`` of every problem, or the error it raises, built
+    in one pass per group of problems with the same dimensions and the
+    same finite/infinite bound pattern (so the same column map).
+
+    Every step is :func:`_standard_form`'s own elementwise arithmetic or
+    one row-by-shift dot product per row, over a leading stack axis, so
+    each form is byte-identical to its own build.  A member with
+    non-finite data is built alone, for its own error."""
+    out: List[_StandardForm | ReproError | None] = [None] * len(problems)
+    groups: Dict[tuple, List[int]] = {}
+    for i, p in enumerate(problems):
+        key = (p.dim, None if p.a is None else p.a.shape, None if p.g is None else p.g.shape,
+               np.isfinite(p.lo).tobytes(), np.isfinite(p.hi).tobytes())
+        groups.setdefault(key, []).append(i)
+    for members in groups.values():
+        first = problems[members[0]]
+        names = [name for name in ("c", "a", "b", "g", "h", "lo", "hi")
+                 if getattr(first, name) is not None]
+        data = {name: np.stack([getattr(problems[i], name) for i in members])
+                for name in names}
+        finite = np.ones(len(members), dtype=bool)
+        for name in names:
+            flat = data[name].reshape(len(members), -1)
+            finite &= (~np.isnan(flat) if name in ("lo", "hi") else np.isfinite(flat)).all(axis=1)
+        for j in (~finite).nonzero()[0]:
+            try:
+                out[members[j]] = _standard_form(problems[members[j]])
+            except ReproError as err:  # handed back: solve_lp would raise it
+                out[members[j]] = err
+        if not finite.any():
+            continue
+        if not finite.all():
+            members = [i for i, ok in zip(members, finite) if ok]
+            data = {name: value[finite] for name, value in data.items()}
+        c, lo, hi = data["c"], data["lo"], data["hi"]
+        bounded = np.isfinite(lo[0])
+        free = (~bounded).nonzero()[0]
+        upper = np.isfinite(hi[0]).nonzero()[0]
+        shift = np.where(bounded, lo, 0.0)
+        blocks = [(data[m], data[v]) for m, v in (("a", "b"), ("g", "h")) if m in data]
+        b_std = _right_hand_side(blocks, hi, upper, shift)
+        const = np.matmul(c[:, None, :], shift[:, :, None])[:, 0, 0]
+        n_eq = 0 if first.a is None else first.a.shape[0]
+        a_std, c_std, col_pos, col_neg = _standard_matrix(c, blocks, n_eq, free, upper)
+        pattern = bounded, np.isfinite(hi[0])
+        for j, i in enumerate(members):
+            out[i] = _StandardForm(a_std[j], b_std[j], c_std[j], col_pos, free, col_neg,
+                                   shift[j], float(const[j]), upper, n_eq,
+                                   {"pattern": pattern})
+    return out  # type: ignore[return-value]
+
+
+def solve_lp(problem: LPProblem, max_iter: int = 10000, *, box: Box | None = None,
              parent: NodeHandle | None = None, threshold: float = np.inf) -> Solution:
     """Solve a general-form :class:`LPProblem` by reduction to standard form.
 
@@ -448,16 +566,18 @@ def solve_lp(problem: LPProblem, max_iter: int = 10000, *,
     or None where no child could be screened from it).
     Raises :class:`NumericalInstabilityError` on non-finite data.
 
-    ``parent`` makes this a branch-and-bound node LP: it is the parent
-    node's ``Solution.handle``, and ``problem`` differs from the parent's
-    LP only in ``lo``/``hi``.  The standard form is then patched from the
-    parent's, and :func:`screen_node` restarts from the parent's tableau:
-    it raises :class:`ScreenedNode` when it proves the node prunes
-    against ``threshold``, or answers the node from its warm basis (a
-    ``Solution`` with ``status="warm"``); only a node it leaves unproven
-    gets the cold solve.
+    ``box=(lo, hi)`` solves a branch-and-bound node: ``problem`` with its
+    bounds tightened to the box, as ``MILPModel.relaxation(lo, hi)``
+    tightens them, without building that LP.  ``parent`` is then the
+    parent node's ``Solution.handle`` (the parent's LP differs from the
+    node's only in its bounds): the standard form is patched from the
+    parent's, and :func:`screen_node` restarts from the parent's
+    tableau.  It raises :class:`ScreenedNode` when it proves the node
+    prunes against ``threshold``, or answers the node from its warm
+    basis (a ``Solution`` with ``status="warm"``); only a node it leaves
+    unproven gets the cold solve.
     """
-    form = _standard_form(problem, None if parent is None else parent.form)
+    form = _standard_form(problem, None if parent is None else parent.form, box)
     warm = None if parent is None else screen_node(parent, form, threshold, max_iter)
     if warm is not None:
         return form.solution(warm, status="warm")
@@ -505,14 +625,18 @@ def _column_caps(form: _StandardForm) -> np.ndarray:
     inequality slack within ``h - G x`` at its smallest over the box."""
     m, cols = form.a.shape
     n, n_ineq = cols - m, m - form.upper.size
-    ranges = np.where(np.isin(form.upper, form.free), np.inf,
-                      np.maximum(form.b[n_ineq:], 0.0))
+    if "caps" not in form.memo:
+        g = form.a[:n_ineq, :n]
+        form.memo["caps"] = (np.isin(form.upper, form.free), g < 0,
+                             np.where(g < 0, g, 0.0))
+    split, negative, g_neg = form.memo["caps"]
+    ranges = np.where(split, np.inf, np.maximum(form.b[n_ineq:], 0.0))
     caps = np.full(cols, np.inf)
     caps[form.col_pos[form.upper]] = ranges
     caps[n + n_ineq:] = ranges
-    g, finite = form.a[:n_ineq, :n], np.isfinite(caps[:n])
-    lowest = np.where(g < 0, g, 0.0) @ np.where(finite, caps[:n], 0.0)
-    caps[n:n + n_ineq] = np.where(((g < 0) & ~finite).any(axis=1), np.inf,
+    finite = np.isfinite(caps[:n])
+    lowest = g_neg @ np.where(finite, caps[:n], 0.0)
+    caps[n:n + n_ineq] = np.where((negative & ~finite).any(axis=1), np.inf,
                                   np.maximum(form.b[:n_ineq] - lowest, 0.0))
     return caps
 
@@ -653,13 +777,11 @@ def _solve_batch(problems: Sequence[LPProblem], max_iter: int,
     """:func:`solve_lp_batch` with the routing width as a parameter."""
     out: List[Outcome | None] = [None] * len(problems)
     groups: Dict[Tuple[int, int], List[Tuple[int, _StandardForm]]] = {}
-    for i, problem in enumerate(problems):
-        try:
-            form = _standard_form(problem)
-        except ReproError as err:  # handed back: solve_lp would raise it
-            out[i] = err
-            continue
-        groups.setdefault(form.a.shape, []).append((i, form))
+    for i, form in enumerate(_standard_forms(problems)):
+        if isinstance(form, ReproError):  # handed back: solve_lp would raise it
+            out[i] = form
+        else:
+            groups.setdefault(form.a.shape, []).append((i, form))
     widths = get_metrics().histogram("convex.lp.stack_width", buckets=_WIDTH_BUCKETS)
     for (m, _), members in groups.items():
         widths.observe(len(members))

@@ -254,9 +254,17 @@ def simplex_standard_form_reference(
     tableau[:m, -1] = b
     # phase-1 objective: minimize sum of artificials
     tableau[m, n : n + m] = 1.0
+    # a row holding a unit column of A (its own slack where b_i >= 0)
+    # starts with the last such column basic, every other row on its
+    # artificial
     basis = list(range(n, n + m))
-    # price out artificials
-    tableau[m, :] -= tableau[:m, :].sum(axis=0)
+    for j in range(n):
+        rows = np.nonzero(a[:, j])[0]
+        if rows.size == 1 and a[rows[0], j] == 1.0:  # numlint: disable=NL001 -- a unit column holds exactly 1.0
+            basis[rows[0]] = j
+    # price out the artificials that start in the basis
+    artificial = [i for i in range(m) if basis[i] >= n]
+    tableau[m, :] -= tableau[artificial, :].sum(axis=0)
 
     def pivot(t: np.ndarray, basis: list[int], allowed_cols: int, max_iter: int) -> None:
         """Dantzig pricing for speed, switching to Bland's anti-cycling
@@ -324,7 +332,7 @@ def simplex_standard_form_reference(
     phase2[:m, -1] = tableau[:m, -1]
     phase2[m, :n] = c
     for i, bi in enumerate(basis):
-        if bi < n and abs(phase2[m, bi]) > _EPS:
+        if bi < n and phase2[m, bi] != 0.0:
             phase2[m, :] -= phase2[m, bi] * phase2[i, :]
     basis2 = list(basis)
     pivot(phase2, basis2, n, max_iter)

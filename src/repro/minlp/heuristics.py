@@ -27,10 +27,10 @@ def round_and_repair(model: MILPModel, x_relaxed: np.ndarray, max_repair: int = 
     best feasible point found, or None.
     """
     x_relaxed = np.asarray(x_relaxed, dtype=np.float64)
-    idx = sorted(model.integer_indices)
+    idx = model.integer_array
     # with no continuous coordinate, fixing the integers leaves the repair
     # LP one feasible point: the rounded x that is_feasible just rejected
-    repairable = len(idx) < model.dim
+    repairable = idx.size < model.dim
     best: np.ndarray | None = None
     best_obj = np.inf
     for rounder in (np.round, np.floor):

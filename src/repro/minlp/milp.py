@@ -28,14 +28,15 @@ def solve_milp(
     ``use_root_heuristic`` runs rounding-repair on the root relaxation to
     seed the incumbent — the hybrid local/global bounding §II-B endorses.
     ``root`` is the root relaxation's precomputed outcome (what
-    ``solve_lp(model.relaxation())`` returns, or the exception it
+    ``solve_lp(model.lp)`` returns, or the exception it
     raises); it is used, or re-raised, wherever the root would be solved.
 
-    Every other node LP is solved from its parent's tableau
-    (``solve_lp(..., parent=, threshold=)``): its standard form is
-    patched from the parent's, and a few dual-simplex pivots either
-    prove the node prunes or reach its optimum; only the nodes they
-    leave unproven get a cold solve.
+    Every other node LP is ``model.lp`` over the node's box, solved from
+    its parent's tableau (``solve_lp(model.lp, box=, parent=,
+    threshold=)``; no per-node ``LPProblem`` is built): its standard
+    form is patched from the parent's, and a few dual-simplex pivots
+    either prove the node prunes or reach its optimum; only the nodes
+    they leave unproven get a cold solve.
     Adds the root, screened, warm and cold node LPs to the
     ``minlp.node_lps{outcome}`` counter once per call.
     """
@@ -45,27 +46,27 @@ def solve_milp(
         nonlocal root
         if root is None:
             try:
-                root = solve_lp(model.relaxation())
+                root = solve_lp(model.lp)
             except InfeasibleError as err:
                 root = err
         return root
 
     def bound(lo: np.ndarray, hi: np.ndarray, parent: object,
               threshold: float) -> tuple[float, np.ndarray, object]:
-        if np.any(lo > hi + 1e-12):
+        if (lo > hi + 1e-12).any():
             raise InfeasibleError("empty node box")
         # branch_and_bound bounds the root box twice (for its initial
-        # bound, then again when it pops the root node), and both calls
-        # get the root relaxation's answer
-        if np.array_equal(lo, model.lp.lo) and np.array_equal(hi, model.lp.hi):
+        # bound, then again when it pops the root node), both times with
+        # no parent handle, and both calls get the root relaxation's answer
+        if (parent is None and np.array_equal(lo, model.lp.lo)
+                and np.array_equal(hi, model.lp.hi)):
             solved = solve_root()
             if isinstance(solved, Exception):
                 raise solved
             return solved.objective, solved.x, solved.handle
-        relaxed = model.relaxation(extra_lo=lo, extra_hi=hi)
         outcome = "cold"
         try:
-            sol = solve_lp(relaxed, parent=parent, threshold=threshold)
+            sol = solve_lp(model.lp, box=(lo, hi), parent=parent, threshold=threshold)
             if sol.status == "warm":
                 outcome = "warm"
         except ScreenedNode:

@@ -28,11 +28,16 @@ __all__ = ["MILPModel", "MIQPModel", "integrality_violation", "is_integral"]
 
 def integrality_violation(x: np.ndarray, integer_indices: FrozenSet[int]) -> float:
     """Max distance of the integer-constrained coordinates from Z."""
-    if not integer_indices:
+    return _violation(x, np.array(sorted(integer_indices), dtype=np.intp))
+
+
+def _violation(x: np.ndarray, idx: np.ndarray) -> float:
+    """:func:`integrality_violation` over the sorted index array ``idx``
+    (NaN where a coordinate is NaN)."""
+    if not idx.size:
         return 0.0
-    idx = sorted(integer_indices)
     vals = np.asarray(x, dtype=np.float64)[idx]
-    return float(np.max(np.abs(vals - np.round(vals)), initial=0.0))
+    return float(np.abs(vals - vals.round()).max(initial=0.0))
 
 
 def is_integral(x: np.ndarray, integer_indices: FrozenSet[int], tol: float = 1e-6) -> bool:
@@ -52,6 +57,9 @@ class MILPModel:
         if bad:
             raise DimensionError(f"integer indices {bad} out of range for dim {n}")
         object.__setattr__(self, "integer_indices", frozenset(self.integer_indices))
+        #: the integer indices, sorted, as an index array
+        object.__setattr__(self, "integer_array",
+                           np.array(sorted(self.integer_indices), dtype=np.intp))
 
     @property
     def dim(self) -> int:
@@ -62,13 +70,14 @@ class MILPModel:
 
     def is_feasible(self, x: np.ndarray, tol: float = 1e-6) -> bool:
         x = np.asarray(x, dtype=np.float64).ravel()
-        if self.lp.g is not None and np.max(self.lp.g @ x - self.lp.h, initial=-np.inf) > tol:
+        lp = self.lp
+        if lp.g is not None and (lp.g @ x - lp.h).max(initial=-np.inf) > tol:
             return False
-        if self.lp.a is not None and np.max(np.abs(self.lp.a @ x - self.lp.b), initial=0.0) > tol:
+        if lp.a is not None and np.abs(lp.a @ x - lp.b).max(initial=0.0) > tol:
             return False
-        if np.any(x < self.lp.lo - tol) or np.any(x > self.lp.hi + tol):
+        if (x < lp.lo - tol).any() or (x > lp.hi + tol).any():
             return False
-        return is_integral(x, self.integer_indices, tol)
+        return _violation(x, self.integer_array) <= tol
 
     def relaxation(self, extra_lo: np.ndarray | None = None, extra_hi: np.ndarray | None = None) -> LPProblem:
         """Continuous relaxation, optionally with tightened bounds (the

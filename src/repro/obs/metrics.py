@@ -181,7 +181,21 @@ class Histogram:
         return hist
 
     def observe(self, v: float, exemplar: Optional[dict] = None) -> None:
-        self.observe_many((v,), None if exemplar is None else lambda _v: exemplar)
+        """Record one value: exactly what ``observe_many((v,))`` records,
+        the exemplar (when given) held if ``v`` raises the max or none is
+        held yet."""
+        v = float(v)
+        self.counts[bisect.bisect_left(self.buckets, v)] += 1
+        self.count += 1
+        self.sum += v
+        if v < self.min:
+            self.min = v
+        if v > self.max:
+            self.max = v
+        elif self.exemplar is not None:
+            return
+        if exemplar is not None:
+            self.exemplar = exemplar
 
     def observe_many(self, values: Iterable[float],
                      exemplar: Optional[Callable[[float], dict]] = None) -> None:

@@ -185,17 +185,13 @@ class RRAProblem:
         return MILPModel(lp, frozenset(range(n)))
 
     def choice_from_milp_x(self, x: np.ndarray) -> np.ndarray:
-        """Convert a MILP solution vector to a per-block choice vector."""
+        """Convert a MILP solution vector to a per-block choice vector:
+        per block, the first largest entry over ``(user, level)`` (a NaN
+        counts as largest) when it is above 0.5, else -1."""
         u_n, b_n, p_n = self.n_users, self.n_blocks, self.n_levels
-        choice = np.full(b_n, -1, dtype=int)
-        xr = np.asarray(x).reshape(u_n, b_n, p_n)
-        for b in range(b_n):
-            flat = xr[:, b, :].ravel()
-            j = int(np.argmax(flat))
-            if flat[j] > 0.5:
-                u, p = divmod(j, p_n)
-                choice[b] = u * p_n + p
-        return choice
+        flat = np.asarray(x).reshape(u_n, b_n, p_n).transpose(1, 0, 2).reshape(b_n, u_n * p_n)
+        j = flat.argmax(axis=1)
+        return np.where(flat[np.arange(b_n), j] > 0.5, j, -1)
 
 
 @dataclass(frozen=True)

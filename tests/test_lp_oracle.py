@@ -100,17 +100,48 @@ def test_standard_form_bit_identical_to_loop_oracle(m, n, seed):
             == _outcome(simplex_standard_form_reference, a, b, c))
 
 
+#: Beale's cycling example in equality form over ``x1..x7``: the unit
+#: columns ``x1..x3`` start phase 2 at a degenerate vertex from which
+#: Dantzig pricing with the smallest-index leaving rule cycles
+_BEALE_A = np.array([[1.0, 0.0, 0.0, 0.25, -8.0, -1.0, 9.0],
+                     [0.0, 1.0, 0.0, 0.5, -12.0, -0.5, 3.0],
+                     [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0]])
+_BEALE_C = np.array([0.0, 0.0, 0.0, -0.75, 20.0, -0.5, 6.0])
+
+
+def _cycling_lp(rng: np.random.Generator, degenerate: bool = True) -> LPProblem:
+    """Beale's example plus 13 seeded variables over 27 inequality rows.
+
+    Degenerate: zero right-hand sides (but Beale's ``x6 <= 1``) and extra
+    variables of positive cost that never enter, so every pivot stalls
+    and Dantzig cycles until the loop switches to Bland's rule.
+    Otherwise: positive right-hand sides and extra variables of negative
+    cost, which Dantzig pivots in without stalling."""
+    n, extra = 20, 13
+    a = np.zeros((3, n))
+    a[:, :7] = _BEALE_A
+    g = np.zeros((27, n))
+    if degenerate:
+        b, h = np.array([0.0, 0.0, 1.0]), np.zeros(27)
+        g[:, 7:] = rng.integers(0, 3, size=(27, extra))
+        c_extra = rng.integers(1, 3, size=extra)
+    else:
+        b, h = np.array([*rng.integers(1, 4, size=2), 1.0]), rng.integers(1, 9, size=27)
+        g[:, 7:] = rng.integers(1, 3, size=(27, extra))
+        c_extra = -rng.integers(1, 3, size=extra)
+    return LPProblem(c=np.concatenate([_BEALE_C, c_extra]), a=a, b=b, g=g, h=h,
+                     lo=np.zeros(n))
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_degenerate_lp_runs_bland_and_matches_oracle(seed):
-    """Zero right-hand sides make every pivot degenerate, so the objective
+    """Every pivot from Beale's degenerate vertex stalls, so the objective
     never improves; past 25 stalled pivots the loop switches to Bland's
     rule, and both paths must still reach the same vertex."""
-    rng = np.random.default_rng(seed)
-    lp = LPProblem(c=-rng.integers(1, 3, size=20).astype(float),
-                   g=rng.integers(0, 3, size=(30, 20)).astype(float),
-                   h=np.zeros(30), lo=np.zeros(20))
+    lp = _cycling_lp(np.random.default_rng(seed))
     sol = solve_lp(lp)
     assert sol.iterations > 25
+    assert sol.objective == pytest.approx(-1.25)
     assert _outcome(solve_lp, lp) == _outcome(solve_lp_reference, lp)
 
 
@@ -260,11 +291,13 @@ def test_to_milp_matches_loop_build(shape):
 
 
 def _count_lp_calls(monkeypatch) -> dict:
-    """Wrap ``solve_lp`` where the MILP solver and the heuristics look it up."""
+    """Wrap ``solve_lp`` where the MILP solver and the heuristics look it
+    up, recording each call's bounds (a node call's box applied)."""
     calls = {"milp": [], "heuristics": []}
     for module, key in ((milp, "milp"), (heuristics, "heuristics")):
         def counted(problem, *args, _inner=module.solve_lp, _key=key, **kwargs):
-            calls[_key].append((problem.lo.copy(), problem.hi.copy()))
+            lo, hi = lp._node_bounds(problem, kwargs.get("box"))
+            calls[_key].append((lo.copy(), hi.copy()))
             return _inner(problem, *args, **kwargs)
         monkeypatch.setattr(module, "solve_lp", counted)
     return calls
@@ -272,14 +305,16 @@ def _count_lp_calls(monkeypatch) -> dict:
 
 #: BnBResult of the solver with warm node answers:
 #: (seed, max_nodes) -> (nonzero x, objective hex, explored, pruned, converged).
-#: Cold node solves gave seed 0 the same x and objective in 31 explored
-#: nodes (15 pruned); its tree differs at a branching near-tie (two
+#: Cold node solves give seed 0 the same x and objective in 43 explored
+#: nodes (22 pruned); the trees differ at branching near-ties (two
 #: complementary binaries one ulp apart in fractionality, see
-#: docs/PERFORMANCE.md "Warm node answers").  Seed 2 is node-capped, and
-#: its incumbent was [5, 7, 9, 13, 21] at -0x1.f0536a62acae9p+23.
+#: docs/PERFORMANCE.md "Warm node answers").  Seed 2 is node-capped; cold
+#: node solves reach the same incumbent with 44 pruned.  Before phase 1
+#: started from the slack basis, seed 0 explored 65 nodes (32 pruned)
+#: and seed 2 held [1, 7, 9, 15, 23] at -0x1.f00da61e662b8p+23 (56 pruned).
 _PINNED_BNB = {
-    (0, 200): ([9, 13, 21, 25, 27], "-0x1.0f143d88e3c22p+24", 65, 32, True),
-    (2, 200): ([1, 7, 9, 15, 23], "-0x1.f00da61e662b8p+23", 200, 56, False),
+    (0, 200): ([9, 13, 21, 25, 27], "-0x1.0f143d88e3c22p+24", 51, 24, True),
+    (2, 200): ([5, 7, 9, 13, 21], "-0x1.f0536a62acae9p+23", 200, 47, False),
 }
 
 
@@ -443,15 +478,11 @@ def test_stacked_degenerate_members_run_bland(width):
     """Zero right-hand sides stall the degenerate members past the Bland
     switch while same-shape generic members are still pivoting by
     Dantzig: each member keeps its own stall count inside the stack."""
-    problems = []
-    for seed in range(2 * width):
-        rng = np.random.default_rng(seed)
-        h = np.zeros(30) if seed % 2 else rng.integers(1, 9, size=30).astype(float)
-        problems.append(LPProblem(c=-rng.integers(1, 3, size=20).astype(float),
-                                  g=rng.integers(0, 3, size=(30, 20)).astype(float),
-                                  h=h, lo=np.zeros(20)))
+    problems = [_cycling_lp(np.random.default_rng(seed), degenerate=bool(seed % 2))
+                for seed in range(2 * width)]
     pivots = [o.iterations for o in lp._solve_batch(problems, 10000, 1)]
     assert all(p > 25 for p in pivots[1::2])
+    assert all(p > 2 for p in pivots[::2])
     _assert_stack_matches(problems)
 
 
@@ -476,6 +507,97 @@ def test_stacked_rra_roots_bit_identical():
     roots = _frame_cell_roots()
     assert len({lp._standard_form(p).a.shape for p in roots}) > 1
     _assert_stack_matches(roots)
+
+
+_FORM_FIELDS = ("a", "b", "c", "col_pos", "free", "col_neg", "shift", "upper")
+
+
+def _form_bytes(form) -> tuple:
+    """Every array of a standard form as bytes, plus its shape and scalars,
+    or the class of the error building it raised."""
+    if isinstance(form, Exception):
+        return ("raise", type(form), str(form))
+    return tuple(getattr(form, f).tobytes() for f in _FORM_FIELDS) + (
+        form.a.shape, np.float64(form.const).tobytes(), form.n_eq)
+
+
+def _one_by_one_forms(problems) -> list:
+    out = []
+    for problem in problems:
+        try:
+            out.append(_form_bytes(lp._standard_form(problem)))
+        except ReproError as err:
+            out.append(_form_bytes(err))
+    return out
+
+
+def test_stacked_root_forms_byte_equal_on_rra_roots():
+    roots = _frame_cell_roots()
+    assert [_form_bytes(f) for f in lp._standard_forms(roots)] == _one_by_one_forms(roots)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.integers(2, 8).flatmap(_same_shape_lps), st.lists(_lps(), max_size=4),
+       st.lists(st.tuples(st.sampled_from(["c", "g", "h", "a", "b", "lo", "hi"]),
+                          st.sampled_from([np.nan, np.inf, -np.inf, -0.0])), max_size=3))
+def test_stacked_forms_byte_equal_per_member(group, others, spoil):
+    """Same-structure groups, stray shapes, and members with a NaN, an
+    infinity or a -0.0 put into one field: every member's form (or its
+    own error, for non-finite data) is what its own build gives."""
+    problems = group + others
+    for k, (field, value) in enumerate(spoil):
+        target = problems[k % len(problems)]
+        data = getattr(target, field)
+        if data is None:
+            continue
+        data = np.array(data, dtype=float)
+        data.flat[k % data.size] = value
+        problems[k % len(problems)] = LPProblem(**{
+            **{f: getattr(target, f) for f in ("c", "g", "h", "a", "b", "lo", "hi")},
+            field: data})
+    assert [_form_bytes(f) for f in lp._standard_forms(problems)] == _one_by_one_forms(problems)
+
+
+#: phase-1 and phase-2 pivots over the 200 ``rra_frames.json`` root
+#: relaxations.  Phase 1 starts from the slack basis: only the user-rate
+#: rows (negative right-hand side, 2.5 per root) start on an artificial.
+#: From the all-artificial start the same roots took 6138 phase-1 and
+#: 2051 phase-2 pivots.
+_ROOT_PIVOTS = (500, 1850)
+
+
+def _phase1_pivots(form) -> int:
+    a, b = form.a.copy(), form.b.copy()
+    neg = b < 0
+    a[neg] *= -1.0
+    b[neg] *= -1.0
+    basis = lp._phase1_basis(a)
+    assert ((basis >= a.shape[1]) == neg).all()
+    return lp._pivot(lp._phase1_tableau(a, b, basis), basis, sum(a.shape), 10000)
+
+
+def test_root_phase1_pivots_are_pinned():
+    forms = [lp._standard_form(p) for p in _frame_cell_roots()]
+    phase1 = sum(_phase1_pivots(form) for form in forms)
+    total = sum(lp._simplex(f.a, f.b, f.c, 10000)[2] for f in forms)
+    assert (phase1, total - phase1) == _ROOT_PIVOTS
+
+
+def test_phase1_starts_from_unit_columns():
+    """A row holding a unit column starts with the last such column basic
+    (its slack, after any structural unit column); a row whose slack the
+    sign flip turned to -1 (or an equality row without one) starts on its
+    artificial."""
+    a = np.array([[1.0, 2.0, 1.0, 0.0, 0.0],
+                  [0.0, 3.0, 0.0, -1.0, 0.0],
+                  [0.0, 1.0, 0.0, 0.0, 2.0],
+                  [1.0, 0.0, 0.0, 0.0, 0.0]])
+    assert lp._phase1_basis(a).tolist() == [2, 6, 7, 8]
+    a[3, 0] = 0.0   # column 0 becomes a unit column of row 0
+    assert lp._phase1_basis(a).tolist() == [2, 6, 7, 8]
+    assert lp._phase1_basis(a[:, :2]).tolist() == [0, 3, 4, 5]
+    stacked = lp._phase1_basis(np.stack([a, -a]))
+    assert stacked.tolist() == [[2, 6, 7, 8], [5, 3, 7, 8]]
 
 
 def test_stack_width_histogram():

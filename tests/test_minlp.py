@@ -111,6 +111,40 @@ def test_vectorized_branching_and_snap_match_the_loops(case):
     assert _snap(x, idx).tobytes() == _snap_loop(x, integer_indices).tobytes()
 
 
+def _is_feasible_sorted_set(model: MILPModel, x: np.ndarray, tol: float = 1e-6) -> bool:
+    """``MILPModel.is_feasible`` as it was written over the index set:
+    ``sorted(integer_indices)`` picked the coordinates on every call."""
+    lp = model.lp
+    if lp.g is not None and np.max(lp.g @ x - lp.h, initial=-np.inf) > tol:
+        return False
+    if np.any(x < lp.lo - tol) or np.any(x > lp.hi + tol):
+        return False
+    if not model.integer_indices:
+        return True
+    vals = x[sorted(model.integer_indices)]
+    return float(np.max(np.abs(vals - np.round(vals)), initial=0.0)) <= tol
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.one_of(_COORD, st.just(np.nan)), min_size=1, max_size=8).flatmap(
+    lambda xs: st.tuples(st.just(np.array(xs)),
+                         st.frozensets(st.integers(0, len(xs) - 1)))))
+def test_integer_array_verdicts_match_the_sorted_set(case):
+    """The model's sorted index array gives the verdicts the per-call
+    ``sorted(integer_indices)`` gave, NaN coordinates included (never
+    integral, never feasible)."""
+    x, integer_indices = case
+    n = x.size
+    model = MILPModel(LPProblem(c=np.ones(n), g=np.ones((1, n)), h=np.array([1e7]),
+                                lo=np.full(n, -1e7), hi=np.full(n, 1e7)), integer_indices)
+    assert model.integer_array.tolist() == sorted(integer_indices)
+    assert model.is_feasible(x) == _is_feasible_sorted_set(model, x)
+    vals = x[sorted(integer_indices)]
+    want = float(np.max(np.abs(vals - np.round(vals)), initial=0.0)) if vals.size else 0.0
+    got = integrality_violation(x, integer_indices)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 class TestMILP:
     def test_knapsack_matches_brute_force(self):
         model = knapsack_model()

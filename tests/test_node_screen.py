@@ -4,8 +4,10 @@ from the warm basis, or left to the cold two-phase solve.
 
 Four properties:
 
-* a node's standard form patched from its parent's is byte-equal to a
-  fresh build, and falls back to one when the bound pattern differs;
+* a node's standard form patched from its parent's (the node entry
+  ``solve_lp(model.lp, box=(lo, hi), parent=...)``) is byte-equal to a
+  fresh build of ``model.relaxation(lo, hi)``, and falls back to one
+  when the bound pattern differs;
 * soundness replay: every node the screen prunes or answers is
   cold-solved as well; a pruned node must prune there too, and a warm
   answer must match the cold objective within 1e-9 relative with ``x``
@@ -29,7 +31,7 @@ from hypothesis import strategies as st
 import repro.convex.lp as lp
 import repro.minlp.milp as milp
 from repro.convex import LPProblem
-from repro.exceptions import InfeasibleError, ReproError
+from repro.exceptions import InfeasibleError, NumericalInstabilityError, ReproError
 from repro.minlp import MILPModel, solve_milp
 from repro.obs import MetricsRegistry, use_metrics
 
@@ -88,10 +90,13 @@ def test_patched_node_form_is_byte_equal_to_a_fresh_build(model, data):
     node = model.relaxation(extra_lo=lo, extra_hi=hi)
     fresh = lp._standard_form(node)
     patched = lp._standard_form(node, root)
-    assert _form_bytes(patched) == _form_bytes(fresh)
+    # the node entry: the model's own LP tightened to the box, never built
+    entry = lp._standard_form(model.lp, root, (lo, hi))
+    assert _form_bytes(patched) == _form_bytes(entry) == _form_bytes(fresh)
+    assert _form_bytes(lp._standard_form(model.lp, box=(lo, hi))) == _form_bytes(fresh)
     same_pattern = (np.array_equal(np.isfinite(node.lo), np.isfinite(model.lp.lo))
                     and np.array_equal(np.isfinite(node.hi), np.isfinite(model.lp.hi)))
-    assert (patched.a is root.a) == same_pattern
+    assert (patched.a is root.a) == (entry.a is root.a) == same_pattern
 
 
 def test_rra_node_forms_are_patched_from_the_root():
@@ -109,6 +114,56 @@ def test_rra_node_forms_are_patched_from_the_root():
     assert _form_bytes(patched) == _form_bytes(lp._standard_form(node))
 
 
+def test_corpus_node_entry_forms_are_byte_equal_to_relaxation_forms(monkeypatch,
+                                                                   corpus_models):
+    """Every node LP ``solve_milp`` makes on the ``rra_frames.json``
+    corpus: the form the node entry patches from the parent's handle is
+    byte-equal to the form of ``model.relaxation(lo, hi)`` built afresh,
+    and shares the parent's matrix (RRA node boxes keep the bound
+    pattern)."""
+    nodes = []
+
+    def record(problem, *args, **kwargs):
+        if kwargs.get("parent") is not None:
+            nodes.append((problem, kwargs["box"], kwargs["parent"]))
+        return lp.solve_lp(problem, *args, **kwargs)
+
+    monkeypatch.setattr(milp, "solve_lp", record)
+    checked = 0
+    for model, max_nodes in corpus_models:
+        solve_milp(model, max_nodes=max_nodes)
+        for problem, box, parent in nodes:
+            entry = lp._standard_form(problem, parent.form, box)
+            assert entry.a is parent.form.a
+            assert _form_bytes(entry) == _form_bytes(
+                lp._standard_form(model.relaxation(*box)))
+        checked += len(nodes)
+        nodes.clear()
+    assert checked > 500
+
+
+def test_node_entry_keeps_the_nan_bound_check_and_falls_back():
+    """A NaN in the node box is rejected like a NaN bound of a built LP
+    (the box is tightened with ``np.maximum``/``np.minimum``, which keep
+    the NaN); a box that makes an infinite bound finite changes the
+    form's shape, and the entry builds it afresh (so the node goes cold)."""
+    problem = LPProblem(c=np.array([1.0, -1.0]), g=np.array([[1.0, 1.0]]),
+                        h=np.array([2.0]), lo=np.zeros(2), hi=np.array([3.0, np.inf]))
+    parent = lp.solve_lp(problem).handle
+    for field, box in (("lo", (np.array([np.nan, 0.0]), problem.hi)),
+                       ("hi", (problem.lo, np.array([3.0, np.nan])))):
+        with pytest.raises(NumericalInstabilityError, match=repr(field)):
+            lp.solve_lp(problem, box=box, parent=parent)
+    box = (problem.lo, np.array([3.0, 1.0]))
+    entry = lp._standard_form(problem, parent.form, box)
+    assert entry.a is not parent.form.a and entry.a.shape != parent.form.a.shape
+    node = LPProblem(c=problem.c, g=problem.g, h=problem.h, lo=box[0], hi=box[1])
+    assert _form_bytes(entry) == _form_bytes(lp._standard_form(node))
+    got = lp.solve_lp(problem, box=box, parent=parent)
+    assert got.status == "optimal"
+    assert got.x.tobytes() == lp.solve_lp(node).x.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Soundness replay: every screened or warm node is cold-solved too
 # ---------------------------------------------------------------------------
@@ -123,6 +178,13 @@ def _assert_feasible(problem: LPProblem, x: np.ndarray) -> None:
     if problem.a is not None:
         misses.append(np.abs(problem.a @ x - problem.b))
     assert max(np.max(miss) for miss in misses) <= tol
+
+
+def _node_problem(problem: LPProblem, box) -> LPProblem:
+    """The LP a ``solve_lp(problem, box=box)`` call solves, built."""
+    lo, hi = lp._node_bounds(problem, box)
+    return LPProblem(c=problem.c, g=problem.g, h=problem.h, a=problem.a, b=problem.b,
+                     lo=lo, hi=hi)
 
 
 class _Replay:
@@ -142,23 +204,24 @@ class _Replay:
         if kwargs.get("parent") is None:
             return self.solve(problem, *args, **kwargs)
         self.calls += 1
+        node = _node_problem(problem, kwargs.get("box"))
         try:
             sol = self.solve(problem, *args, **kwargs)
         except lp.ScreenedNode:
             self.screened += 1
             try:
-                cold = lp.solve_lp(problem)
+                cold = lp.solve_lp(node)
             except InfeasibleError:
                 cold = None
             assert cold is None or cold.objective >= kwargs["threshold"]
             raise
         if sol.status == "warm":
             self.warm += 1
-            cold = lp.solve_lp(problem)
+            cold = lp.solve_lp(node)
             gap = abs(sol.objective - cold.objective) / max(1.0, abs(cold.objective))
             self.worst = max(self.worst, gap)
             assert gap <= _REL_TOL, (sol.objective, cold.objective)
-            _assert_feasible(problem, sol.x)
+            _assert_feasible(node, sol.x)
         return sol
 
     def report(self, name: str) -> str:

@@ -2,6 +2,8 @@
 keying, and the solver-outcome recording helper."""
 
 import math
+import random
+import struct
 
 import pytest
 
@@ -74,6 +76,26 @@ class TestHistogram:
             Histogram(buckets=(1.0, 1.0))
         with pytest.raises(ConfigurationError):
             Histogram(buckets=(2.0, 1.0))
+
+    @pytest.mark.parametrize("with_exemplars", [False, True])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_observe_records_what_observe_many_records(self, seed, with_exemplars):
+        """One value at a time, ``observe`` and ``observe_many((v,))`` leave
+        bit-equal state: bucket counts, count, left-to-right sum (NaN and
+        infinities included), min/max with their zero signs, and the same
+        exemplar object."""
+        rng = random.Random(seed)
+        special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1.0, 2.0, 1e-300]
+        scalar, batch = Histogram(buckets=(0.0, 1.0, 2.0, 8.0)), Histogram(
+            buckets=(0.0, 1.0, 2.0, 8.0))
+        for i in range(200):
+            v = rng.choice(special) if rng.random() < 0.3 else rng.uniform(-3.0, 12.0)
+            exemplar = {"i": i} if with_exemplars and rng.random() < 0.7 else None
+            scalar.observe(v, exemplar)
+            batch.observe_many((v,), None if exemplar is None else lambda _v, e=exemplar: e)
+            state = [(h.counts, h.count, struct.pack("<ddd", h.sum, h.min, h.max),
+                      id(h.exemplar)) for h in (scalar, batch)]
+            assert state[0] == state[1]
 
     def test_series_keeps_birth_buckets(self):
         reg = MetricsRegistry()

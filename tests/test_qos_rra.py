@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import repro.minlp.milp as milp
 import repro.qos.rra as rra
+from repro.convex import lp, solve_lp
 from repro.exceptions import ConfigurationError, InfeasibleError
 from repro.kernels.reference import solve_rra_greedy_reference
 from repro.obs import Tracer, use_tracer
@@ -79,6 +80,45 @@ class TestProblemStructure:
         with pytest.raises(ConfigurationError):
             RRAProblem(gains=np.ones((2, 4)), users=_users([1.0]),
                        power_levels_mw=np.array([10.0]), total_power_mw=100.0, noise_mw=1e-10)
+
+
+def _choice_loop(problem: RRAProblem, x: np.ndarray) -> np.ndarray:
+    """The per-block loop ``RRAProblem.choice_from_milp_x`` replaced: the
+    first maximum over ``(user, level)``, kept when it is above 0.5."""
+    u_n, b_n, p_n = problem.n_users, problem.n_blocks, problem.n_levels
+    choice = np.full(b_n, -1, dtype=int)
+    xr = np.asarray(x).reshape(u_n, b_n, p_n)
+    for b in range(b_n):
+        flat = xr[:, b, :].ravel()
+        j = int(np.argmax(flat))
+        if flat[j] > 0.5:
+            u, p = divmod(j, p_n)
+            choice[b] = u * p_n + p
+    return choice
+
+
+def test_choice_from_milp_x_matches_the_block_loop():
+    """On the ``rra_frames.json`` corpus: each frame's fractional root
+    point, its rounding, a point of exact ties at 0.5 and 1.0, and the
+    rounding with NaN entries (a NaN counts as the block's maximum and
+    is never above 0.5)."""
+    rng = np.random.default_rng(5)
+    checked = 0
+    for task in _golden_tasks():
+        problem = task["problem"]
+        try:
+            root = solve_lp(problem.to_milp().relaxation()).x
+        except InfeasibleError:
+            continue
+        ties = np.where(rng.random(root.size) < 0.5, 0.5, 1.0)
+        spoiled = np.round(root)
+        spoiled[rng.integers(root.size, size=3)] = np.nan
+        for x in (root, np.round(root), ties, spoiled):
+            got = problem.choice_from_milp_x(x)
+            assert got.dtype == np.int64
+            assert got.tobytes() == _choice_loop(problem, x).tobytes()
+        checked += 1
+    assert checked > 100
 
 
 class TestSolvers:
@@ -230,7 +270,8 @@ def _assert_batched_equals_one_by_one(tasks, monkeypatch):
     rung_roots = []
     for module in (rra, milp):
         def counted(problem, *args, _inner=module.solve_lp, **kwargs):
-            if not problem.lo.any() and (problem.hi == 1.0).all():
+            lo, hi = lp._node_bounds(problem, kwargs.get("box"))
+            if not lo.any() and (hi == 1.0).all():
                 rung_roots.append(problem)
             return _inner(problem, *args, **kwargs)
         monkeypatch.setattr(module, "solve_lp", counted)
